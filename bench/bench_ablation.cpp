@@ -3,13 +3,14 @@
 //  1. subdomain granularity - the paper uses the finest legal
 //     decomposition; we sweep coarser grids (max_subdomains caps) to show
 //     why: fewer subdomains per color means worse balance and idle threads;
-//  2. static vs dynamic OpenMP scheduling of the subdomain loop - the
-//     paper's uniform-density workloads favor static chunks;
-//  3. 1-D vs 2-D vs 3-D decomposition at fixed thread count - the paper's
+//  2. 1-D vs 2-D vs 3-D decomposition at fixed thread count - the paper's
 //     Section IV discussion (2-D wins: fewer barriers than 3-D, better
 //     cache shape than 1-D);
-//  4. half-list SDC vs full-list RC pair-visit counts - the exact 2x work
+//  3. half-list SDC vs full-list RC pair-visit counts - the exact 2x work
 //     trade, independent of the machine.
+//
+// (The subdomain loop is always statically scheduled: static beat dynamic
+// chunks on the paper's uniform-density workloads, see EXPERIMENTS.md.)
 #include <cstdio>
 
 #include "benchsupport/cases.hpp"
@@ -66,22 +67,7 @@ int main() {
   }
   std::printf("%s\n", gran.render().c_str());
 
-  // 2. Static vs dynamic subdomain scheduling.
-  std::printf("OpenMP schedule of the subdomain loop (2-D SDC):\n");
-  AsciiTable sched({"schedule", "s/step"});
-  for (bool dynamic : {false, true}) {
-    EamForceConfig cfg;
-    cfg.strategy = ReductionStrategy::Sdc;
-    cfg.sdc.dimensionality = 2;
-    cfg.dynamic_schedule = dynamic;
-    const auto timing = runner.time_strategy(cfg, threads, steps);
-    sched.add_row({dynamic ? "dynamic" : "static",
-                   timing ? AsciiTable::fmt(timing->density_force_seconds, 4)
-                          : "-"});
-  }
-  std::printf("%s\n", sched.render().c_str());
-
-  // 3. Dimensionality at fixed threads.
+  // 2. Dimensionality at fixed threads.
   std::printf("decomposition dimensionality (%d threads):\n", threads);
   AsciiTable dims({"dims", "colors", "s/step", "speedup"});
   for (int d = 1; d <= 3; ++d) {
@@ -98,7 +84,7 @@ int main() {
   }
   std::printf("%s\n", dims.render().c_str());
 
-  // 4. Exact work accounting: SDC half lists vs RC full lists.
+  // 3. Exact work accounting: SDC half lists vs RC full lists.
   EamForceConfig sdc_cfg;
   sdc_cfg.strategy = ReductionStrategy::Sdc;
   sdc_cfg.sdc.dimensionality = 2;

@@ -3,17 +3,14 @@
 // machinery, schedule construction, and the per-update cost of each
 // synchronization primitive the strategies rely on.
 //
-// Besides the google-benchmark suite, `--pair-cache on|off|ab` runs the
-// ISSUE 3 A/B harness: the same EAM workload with the per-pair
-// geometry/spline cache enabled and disabled, reporting per-phase
-// seconds/step and writing sdcmd.bench.v1 rows via --metrics-out.
-// `--hw-counters` runs the ISSUE 7 perf_event_open table: per-phase
-// cycles/atom, IPC, cache-miss rate and FP scalar/vector op mix for one
-// EAM workload, same values in the printed table and the sdcmd.bench.v1
-// report. `--soa on|off|ab` runs the ISSUE 8 A/B harness: the fused EAM
-// step through the SIMD structure-of-arrays fast path vs the scalar
-// reference, reporting per-phase seconds/step plus FP vector-vs-scalar
-// op counts so vectorization wins show up in the counters too.
+// Besides the google-benchmark suite, `--hw-counters` runs the
+// perf_event_open table: per-phase cycles/atom, IPC, cache-miss rate and
+// FP scalar/vector op mix for one EAM workload, same values in the printed
+// table and the sdcmd.bench.v1 report. `--soa on|off|ab` runs the SoA A/B
+// harness: RC's fused EAM step over a padded full list (SIMD gathers) vs
+// an unpadded one (scalar gathers), reporting per-phase seconds/step plus
+// FP vector-vs-scalar op counts so vectorization wins show up in the
+// counters too.
 #include <benchmark/benchmark.h>
 #include <omp.h>
 
@@ -258,167 +255,7 @@ BENCHMARK(BM_EamSap);
 BENCHMARK(BM_EamRc);
 BENCHMARK(BM_EamSdc);
 
-// --- pair-cache A/B harness (ISSUE 3) --------------------------------------
-
-struct AbMeasurement {
-  double seconds_per_step = 0.0;
-  double density_s = 0.0;  ///< per step; includes the zeroing sweep
-  double embed_s = 0.0;
-  double force_s = 0.0;
-  std::size_t cache_bytes = 0;
-};
-
-AbMeasurement time_pair_cache(const EamPotential& pot, const Box& box,
-                              const std::vector<Vec3>& positions,
-                              const NeighborList& list,
-                              ReductionStrategy strategy, bool use_cache,
-                              int steps, int warmup) {
-  EamForceConfig cfg;
-  cfg.strategy = strategy;
-  cfg.sdc.dimensionality = 2;
-  cfg.use_pair_cache = use_cache;
-  EamForceComputer computer(pot, cfg);
-  computer.attach_schedule(box, pot.cutoff() + kSkin);
-  computer.on_neighbor_rebuild(positions);
-
-  const std::size_t n = positions.size();
-  std::vector<double> rho(n), fp(n);
-  std::vector<Vec3> force(n);
-  for (int s = 0; s < warmup; ++s) {
-    computer.compute(box, positions, list, rho, fp, force);
-  }
-  computer.reset_instrumentation();
-  const double t0 = wall_time();
-  for (int s = 0; s < steps; ++s) {
-    auto result = computer.compute(box, positions, list, rho, fp, force);
-    benchmark::DoNotOptimize(result.pair_energy);
-  }
-  AbMeasurement m;
-  m.seconds_per_step = (wall_time() - t0) / steps;
-  for (const auto& e : computer.timers().entries()) {
-    const double per_step = e.seconds / steps;
-    if (e.name == "density") m.density_s = per_step;
-    if (e.name == "embed") m.embed_s = per_step;
-    if (e.name == "force") m.force_s = per_step;
-  }
-  m.cache_bytes = computer.stats().pair_cache_bytes;
-  return m;
-}
-
-int run_pair_cache_ab(int argc, char** argv) {
-  CliParser cli("bench_micro",
-                "pair-cache A/B: fused EAM step with the per-pair "
-                "geometry/spline cache on vs off");
-  cli.add_option("pair-cache", "ab", "on|off|ab (ab runs both)");
-  cli.add_option("cells", "10", "bcc cells per box edge");
-  cli.add_option("steps", "25", "timed force evaluations per config");
-  cli.add_option("warmup", "5", "untimed evaluations before the clock");
-  cli.add_option("strategy", "sdc", "serial|critical|atomic|locks|sap|sdc");
-  cli.add_option("metrics-out", "", "write sdcmd.bench.v1 JSON here");
-  if (!cli.parse(argc, argv)) return 1;
-
-  const std::string mode = cli.get("pair-cache");
-  if (mode != "on" && mode != "off" && mode != "ab") {
-    std::fprintf(stderr, "--pair-cache must be on, off or ab (got %s)\n",
-                 mode.c_str());
-    return 1;
-  }
-  const int cells = cli.get_int("cells");
-  const int steps = cli.get_int("steps");
-  const int warmup = cli.get_int("warmup");
-  const ReductionStrategy strategy = parse_strategy(cli.get("strategy"));
-
-  // Tabulated iron so the devirtualized spline-table path is the one being
-  // A/B'd - the production configuration the cache is built for.
-  FinnisSinclair fe(FinnisSinclairParams::iron());
-  const TabulatedEam tab = TabulatedEam::from_analytic(fe, 2000, 2000, 60.0);
-  Box box = Box::cubic(1.0);
-  const auto positions = jittered_bcc(cells, box);
-  NeighborListConfig nl_cfg;
-  nl_cfg.cutoff = tab.cutoff();
-  nl_cfg.skin = kSkin;
-  nl_cfg.mode = required_mode(strategy);
-  NeighborList list(box, nl_cfg);
-  list.build(positions);
-
-  obs::BenchReport report("micro_pair_cache");
-  report.set_context("cells", cells);
-  report.set_context("atoms", positions.size());
-  report.set_context("pairs", list.pair_count());
-  report.set_context("steps", steps);
-  report.set_context("warmup", warmup);
-  report.set_context("strategy", to_string(strategy));
-  report.set_context("potential", tab.name());
-  report.set_context("hardware_threads", hardware_threads());
-
-  std::printf("=== pair-cache A/B: %zu atoms, %zu pairs, %s, %s, %d steps\n",
-              positions.size(), list.pair_count(),
-              to_string(strategy).c_str(), thread_summary().c_str(), steps);
-
-  AbMeasurement off, on;
-  const bool run_off = mode != "on";
-  const bool run_on = mode != "off";
-  if (run_off) {
-    off = time_pair_cache(tab, box, positions, list, strategy, false, steps,
-                          warmup);
-    std::printf("  pair_cache_off: %.6f s/step (density %.6f, embed %.6f, "
-                "force %.6f)\n",
-                off.seconds_per_step, off.density_s, off.embed_s,
-                off.force_s);
-  }
-  if (run_on) {
-    on = time_pair_cache(tab, box, positions, list, strategy, true, steps,
-                         warmup);
-    std::printf("  pair_cache_on:  %.6f s/step (density %.6f, embed %.6f, "
-                "force %.6f), cache %.2f MiB\n",
-                on.seconds_per_step, on.density_s, on.embed_s, on.force_s,
-                static_cast<double>(on.cache_bytes) / (1024.0 * 1024.0));
-  }
-  const bool have_both = run_off && run_on;
-  if (have_both) {
-    std::printf("  step speedup %.3fx, force-phase speedup %.3fx\n",
-                off.seconds_per_step / on.seconds_per_step,
-                off.force_s / on.force_s);
-  }
-
-  auto add_row = [&](const char* name, const AbMeasurement& m,
-                     bool baseline) {
-    report.add_result(
-        {{"case", std::string(name)},
-         {"threads", max_threads()},
-         {"seconds_per_step", m.seconds_per_step},
-         {"density_seconds_per_step", m.density_s},
-         {"embed_seconds_per_step", m.embed_s},
-         {"force_seconds_per_step", m.force_s},
-         {"cache_bytes", m.cache_bytes},
-         {"speedup", have_both && !baseline
-                         ? obs::JsonValue(off.seconds_per_step /
-                                          m.seconds_per_step)
-                         : obs::JsonValue(1.0)},
-         {"force_speedup",
-          have_both && !baseline ? obs::JsonValue(off.force_s / m.force_s)
-                                 : obs::JsonValue(1.0)},
-         {"feasible", true}});
-  };
-  if (run_off) add_row("pair_cache_off", off, /*baseline=*/true);
-  if (run_on) add_row("pair_cache_on", on, /*baseline=*/!have_both);
-
-  const std::string metrics_out = cli.get("metrics-out");
-  if (!metrics_out.empty()) {
-    if (report.write(metrics_out)) {
-      std::printf("bench report: %zu result rows -> %s\n", report.results(),
-                  metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "cannot open %s\n", metrics_out.c_str());
-      return 1;
-    }
-  }
-  // Exit 0 regardless of the measured speedup: CI boxes are too noisy to
-  // gate on; the acceptance numbers live in EXPERIMENTS.md.
-  return 0;
-}
-
-// --- SoA fast-path A/B harness (ISSUE 8) -----------------------------------
+// --- SoA fast-path A/B harness ---------------------------------------------
 
 /// One timed configuration of the SoA A/B: per-phase wall clock plus
 /// per-phase hardware counts (when perf_event_open is usable) so the
@@ -432,21 +269,14 @@ struct SoaMeasurement {
   double pad_fraction = 0.0;
 };
 
+/// RC over `list`: the SoA path runs when the list carries padded tiles.
 SoaMeasurement time_soa(const EamPotential& pot, const Box& box,
                         const std::vector<Vec3>& positions,
-                        const NeighborList& list, ReductionStrategy strategy,
-                        bool use_soa, int steps, int warmup,
+                        const NeighborList& list, int steps, int warmup,
                         bool enable_hw) {
   EamForceConfig cfg;
-  cfg.strategy = strategy;
-  cfg.sdc.dimensionality = 2;
-  cfg.use_soa_path = use_soa;
-  // The A/B deliberately measures every strategy, including the half-list
-  // ones whose production heuristic keeps the SoA path off.
-  cfg.soa_half_lists = true;
+  cfg.strategy = ReductionStrategy::RedundantComputation;
   EamForceComputer computer(pot, cfg);
-  computer.attach_schedule(box, pot.cutoff() + kSkin);
-  computer.on_neighbor_rebuild(positions);
   if (enable_hw) computer.hw_profiler().set_enabled(true);
 
   const std::size_t n = positions.size();
@@ -479,15 +309,12 @@ SoaMeasurement time_soa(const EamPotential& pot, const Box& box,
 
 int run_soa_ab(int argc, char** argv) {
   CliParser cli("bench_micro",
-                "SoA fast-path A/B: fused EAM step through the SIMD "
-                "structure-of-arrays path vs the scalar reference");
+                "SoA fast-path A/B: RC's fused EAM step over a padded full "
+                "list (SIMD gathers) vs an unpadded one (scalar gathers)");
   cli.add_option("soa", "ab", "on|off|ab (ab runs both)");
   cli.add_option("cells", "10", "bcc cells per box edge");
   cli.add_option("steps", "25", "timed force evaluations per config");
   cli.add_option("warmup", "5", "untimed evaluations before the clock");
-  cli.add_option("strategy", "rc",
-                 "serial|critical|atomic|locks|sap|rc|sdc (default rc: the "
-                 "full-list config the SoA path engages for in production)");
   cli.add_option("metrics-out", "", "write sdcmd.bench.v1 JSON here");
   if (!cli.parse(argc, argv)) return 1;
 
@@ -500,7 +327,7 @@ int run_soa_ab(int argc, char** argv) {
   const int cells = cli.get_int("cells");
   const int steps = cli.get_int("steps");
   const int warmup = cli.get_int("warmup");
-  const ReductionStrategy strategy = parse_strategy(cli.get("strategy"));
+  const ReductionStrategy strategy = ReductionStrategy::RedundantComputation;
 
   // Tabulated iron: the SoA path requires packed spline tables, so this is
   // the configuration it actually accelerates in production.
@@ -509,18 +336,18 @@ int run_soa_ab(int argc, char** argv) {
   Box box = Box::cubic(1.0);
   const auto positions = jittered_bcc(cells, box);
 
-  // One padded list shared by both configs (identical pair ordering; the
-  // scalar path simply ignores the tiles). pad width comes from the
-  // computer so the bench can't drift from the production gating.
-  EamForceConfig probe_cfg;
-  probe_cfg.strategy = strategy;
-  probe_cfg.soa_half_lists = true;
-  EamForceComputer probe(tab, probe_cfg);
+  // The two arms differ only in the list: padded tiles (the width the
+  // computer asks for, so the bench can't drift from production gating)
+  // vs none. Both enumerate the same pairs in the same order.
   NeighborListConfig nl_cfg;
   nl_cfg.cutoff = tab.cutoff();
   nl_cfg.skin = kSkin;
   nl_cfg.mode = required_mode(strategy);
-  nl_cfg.pad_width = probe.neighbor_pad_width();
+  NeighborList scalar_list(box, nl_cfg);
+  scalar_list.build(positions);
+  EamForceConfig probe_cfg;
+  probe_cfg.strategy = strategy;
+  nl_cfg.pad_width = EamForceComputer(tab, probe_cfg).neighbor_pad_width();
   NeighborList list(box, nl_cfg);
   list.build(positions);
 
@@ -567,13 +394,12 @@ int run_soa_ab(int argc, char** argv) {
   const bool run_off = mode != "on";
   const bool run_on = mode != "off";
   if (run_off) {
-    off = time_soa(tab, box, positions, list, strategy, false, steps, warmup,
+    off = time_soa(tab, box, positions, scalar_list, steps, warmup,
                    hw_probe);
     print_case("soa_off", off);
   }
   if (run_on) {
-    on = time_soa(tab, box, positions, list, strategy, true, steps, warmup,
-                  hw_probe);
+    on = time_soa(tab, box, positions, list, steps, warmup, hw_probe);
     print_case("soa_on ", on);
     if (on.soa_steps == 0) {
       std::fprintf(stderr,
@@ -640,12 +466,12 @@ int run_soa_ab(int argc, char** argv) {
       return 1;
     }
   }
-  // Exit 0 regardless of the measured speedup (same policy as the
-  // pair-cache A/B): acceptance numbers live in EXPERIMENTS.md.
+  // Exit 0 regardless of the measured speedup: CI boxes are too noisy to
+  // gate on; the acceptance numbers live in EXPERIMENTS.md.
   return 0;
 }
 
-// --- hardware-counter table mode (ISSUE 7) ---------------------------------
+// --- hardware-counter table mode ------------------------------------------
 
 /// One full EAM workload profiled per-phase with perf_event_open: prints a
 /// density/embed/force table (cycles/atom, IPC, cache-miss rate, and FP
@@ -660,9 +486,10 @@ int run_hw_counters(int argc, char** argv) {
   cli.add_option("cells", "10", "bcc cells per box edge");
   cli.add_option("steps", "25", "timed force evaluations");
   cli.add_option("warmup", "5", "untimed evaluations before the clock");
-  cli.add_option("strategy", "sdc", "serial|critical|atomic|locks|sap|sdc");
-  cli.add_option("soa", "on", "on|off: route the workload through the SoA "
-                              "fast path (on) or the scalar reference (off)");
+  cli.add_option("strategy", "sdc",
+                 "serial|critical|atomic|locks|sap|rc|sdc|celltask");
+  cli.add_option("soa", "on", "on|off: under rc, give the list padded "
+                              "tiles (SIMD gathers) or none (scalar)");
   cli.add_option("metrics-out", "", "write sdcmd.bench.v1 JSON here");
   if (!cli.parse(argc, argv)) return 1;
 
@@ -686,15 +513,13 @@ int run_hw_counters(int argc, char** argv) {
   EamForceConfig cfg;
   cfg.strategy = strategy;
   cfg.sdc.dimensionality = 2;
-  cfg.use_soa_path = use_soa;
-  cfg.soa_half_lists = true;  // profile whichever path was asked for
   EamForceComputer computer(tab, cfg);
 
   NeighborListConfig nl_cfg;
   nl_cfg.cutoff = tab.cutoff();
   nl_cfg.skin = kSkin;
   nl_cfg.mode = required_mode(strategy);
-  nl_cfg.pad_width = computer.neighbor_pad_width();
+  nl_cfg.pad_width = use_soa ? computer.neighbor_pad_width() : 0;
   NeighborList list(box, nl_cfg);
   list.build(positions);
   computer.attach_schedule(box, tab.cutoff() + kSkin);
@@ -795,19 +620,17 @@ int run_hw_counters(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--pair-cache ...` routes to the pair-cache A/B, `--hw-counters` to
-  // the counter table, `--soa ...` to the SoA A/B; anything else goes to
-  // google-benchmark as before. --hw-counters wins over --soa because the
-  // counter table takes `--soa on|off` as a sub-option.
-  bool has_pair_cache = false, has_hw = false, has_soa = false;
+  // `--hw-counters` routes to the counter table, `--soa ...` to the SoA
+  // A/B; anything else goes to google-benchmark as before. --hw-counters
+  // wins over --soa because the counter table takes `--soa on|off` as a
+  // sub-option.
+  bool has_hw = false, has_soa = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
-    if (arg.rfind("--pair-cache", 0) == 0) has_pair_cache = true;
     if (arg == "--hw-counters") has_hw = true;
     if (arg.rfind("--soa", 0) == 0) has_soa = true;
   }
   if (has_hw) return run_hw_counters(argc, argv);
-  if (has_pair_cache) return run_pair_cache_ab(argc, argv);
   if (has_soa) return run_soa_ab(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -232,7 +232,7 @@ def main() -> None:
         "--require-cases",
         default="",
         help="comma list of case names that must appear among the rows "
-        "(e.g. pair_cache_on,pair_cache_off)",
+        "(e.g. soa_on,soa_off)",
     )
     parser.add_argument("--jsonl", help="sdcmd.step_metrics.v1 JSONL file")
     parser.add_argument(

@@ -111,7 +111,12 @@ EamForceResult eam_cell_direct(const Box& box,
 
   // Phase 2: embedding.
   EamForceResult result;
-  result.embedding_energy = detail::embed_phase(potential, rho, fp, false);
+  for (std::size_t i = 0; i < rho.size(); ++i) {
+    double f, dfdrho;
+    potential.embed(rho[i], f, dfdrho);
+    fp[i] = dfdrho;
+    result.embedding_energy += f;
+  }
 
   // Phase 3: forces.
   double energy = 0.0, virial = 0.0;

@@ -121,8 +121,7 @@ void CellTaskRuntime::reset(int team, std::size_t blocks) {
   }
   for (std::size_t i = 0; i < t; ++i) {
     ThreadState& s = *threads_[i];
-    s.cursor[0].store(0, std::memory_order_relaxed);
-    s.cursor[1].store(0, std::memory_order_relaxed);
+    for (auto& c : s.cursor) c.store(0, std::memory_order_relaxed);
     s.tasks = 0;
     s.steals = 0;
     s.busy_seconds = 0.0;
@@ -141,8 +140,8 @@ std::size_t CellTaskRuntime::max_queue_depth() const {
 std::size_t CellTaskRuntime::bytes() const {
   std::size_t total = threads_.size() * sizeof(ThreadState);
   for (const auto& s : threads_) {
-    total += s->rho_stage.capacity() * sizeof(ScalarEntry) +
-             s->force_stage.capacity() * sizeof(VecEntry);
+    total += s->rho_stage.capacity() * sizeof(Entry<double>) +
+             s->force_stage.capacity() * sizeof(Entry<Vec3>);
   }
   return total;
 }

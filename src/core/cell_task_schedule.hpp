@@ -27,6 +27,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/vec3.hpp"
@@ -91,32 +92,41 @@ class CellTaskSchedule {
 };
 
 /// Shared work-stealing state for one fused step: per-thread queue cursors
-/// (one per scatter phase so no mid-region reset is needed), per-thread
+/// (one per step phase, so no mid-region reset is needed), per-thread
 /// staging buffers for cross-block contributions, and the task.* counters.
-/// Owned by the force computer, reset serially before the parallel region
-/// opens, then shared by the whole team inside it.
+/// Owned by the force computer's reduction engine, reset serially before
+/// the parallel region opens, then shared by the whole team inside it.
 class CellTaskRuntime {
  public:
-  /// A staged cross-block density contribution: rho[j] += v.
-  struct ScalarEntry {
+  /// Queues per step, indexed like the sweep profiler's phases (density,
+  /// embed, force); the embed phase has no scatter and leaves its unused.
+  static constexpr int kPhases = 3;
+
+  /// A staged cross-block contribution: out[j] += v.
+  template <class T>
+  struct Entry {
     std::uint32_t j;
-    double v;
-  };
-  /// A staged cross-block force contribution: force[j] -= f.
-  struct VecEntry {
-    std::uint32_t j;
-    Vec3 f;
+    T v;
   };
 
   /// Cache-line separated per-thread state; cursors are the only fields
   /// other threads touch (when stealing).
   struct alignas(64) ThreadState {
-    std::atomic<std::uint32_t> cursor[2];  // density / force phase queues
+    std::atomic<std::uint32_t> cursor[kPhases];
     std::size_t tasks = 0;                 // block tasks this thread ran
     std::size_t steals = 0;                // of those, from foreign queues
     double busy_seconds = 0.0;             // kernel time across both phases
-    std::vector<ScalarEntry> rho_stage;
-    std::vector<VecEntry> force_stage;
+    std::vector<Entry<double>> rho_stage;
+    std::vector<Entry<Vec3>> force_stage;
+
+    template <class T>
+    std::vector<Entry<T>>& stage() {
+      if constexpr (std::is_same_v<T, Vec3>) {
+        return force_stage;
+      } else {
+        return rho_stage;
+      }
+    }
   };
 
   /// Size for `team` threads and zero the cursors/counters. Buffers keep
@@ -126,6 +136,9 @@ class CellTaskRuntime {
   int team() const { return team_; }
   std::size_t blocks() const { return blocks_; }
   ThreadState& thread(int tid) {
+    return *threads_[static_cast<std::size_t>(tid)];
+  }
+  const ThreadState& thread(int tid) const {
     return *threads_[static_cast<std::size_t>(tid)];
   }
 

@@ -24,7 +24,7 @@
 #include <span>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
+#include "core/detail/skeleton.hpp"
 #include "core/sdc_schedule.hpp"
 #include "obs/sweep_profile.hpp"
 
@@ -59,8 +59,8 @@ class ColoredScatterEngine {
   }
 
   /// Invoke `fn(i)` once for every point, colors swept serially with the
-  /// points of a color processed in parallel. `fn` must honor the class
-  /// contract above.
+  /// points of a color processed in parallel - the EAM kernels' SDC shape
+  /// (detail::color_sweep). `fn` must honor the class contract above.
   template <typename VertexFn>
   void for_each_point_colored(VertexFn&& fn) const {
     SDCMD_REQUIRE(schedule_->built(), "rebuild() has not run yet");
@@ -73,36 +73,8 @@ class ColoredScatterEngine {
       prof->begin_step();
     }
 #pragma omp parallel
-    {
-      const int tid = omp_get_thread_num();
-      for (int c = 0; c < colors; ++c) {
-        const std::size_t begin = part.color_begin(c);
-        const std::size_t end = part.color_end(c);
-        if (prof != nullptr) {
-          obs::SweepSample sample;
-          sample.start = wall_time();
-#pragma omp for schedule(static) nowait
-          for (std::size_t slot = begin; slot < end; ++slot) {
-            for (std::uint32_t i : part.atoms_in_slot(slot)) {
-              fn(static_cast<std::size_t>(i));
-            }
-          }
-          const double t_work = wall_time();
-#pragma omp barrier
-          sample.work = t_work - sample.start;
-          sample.wait = wall_time() - t_work;
-          sample.valid = true;
-          prof->record(0, c, tid, sample);
-        } else {
-#pragma omp for schedule(static)
-          for (std::size_t slot = begin; slot < end; ++slot) {
-            for (std::uint32_t i : part.atoms_in_slot(slot)) {
-              fn(static_cast<std::size_t>(i));
-            }
-          }
-        }
-      }
-    }
+    detail::color_sweep(part, prof, 0,
+                        [&fn](std::size_t i) { fn(i); });
   }
 
   /// Serial sweep in the same slot order; reference for testing.

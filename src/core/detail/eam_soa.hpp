@@ -1,6 +1,7 @@
-// Structure-of-arrays fast path for the EAM hot loops (ISSUE 8).
+// Structure-of-arrays fast path for RC's full-list gathers and the
+// embedding phase.
 //
-// The scalar kernels walk CSR neighbor lists with Vec3/minimum-image
+// The scalar rows walk CSR neighbor lists with Vec3/minimum-image
 // arithmetic and early-exit cutoff branches - shapes the compiler cannot
 // turn into packed AVX2/AVX-512 code. This header provides the SIMD
 // formulation:
@@ -16,29 +17,17 @@
 //    L = 0 on non-periodic dims, so every lane does the same arithmetic;
 //  * splines evaluate through the interval-indexed PackedSplineView: per
 //    lane one index computation plus a contiguous 4-coefficient load
-//    (gathered across lanes), Horner form for FMA;
-//  * per-pair values that must scatter (rho[j], force[j]) are staged in
-//    small lane buffers by the SIMD loop and flushed by a scalar loop that
-//    applies the calling strategy's protection (plain/atomic/lock/critical/
-//    private replica) - the expensive math vectorizes, the 1-3 adds per
-//    pair stay scalar.
+//    (gathered across lanes), Horner form for FMA.
 //
-// The per-pair cache of the scalar path is subsumed and extended: the
-// density tile helper records dx/dy/dz/r/phi' at the pair's PADDED slot
-// *plus* 1/r and the pair spline's (v, dv/dr) - r is already in a vector
-// register there, so the second spline costs one more coefficient gather
-// while the replay loop drops to pure contiguous loads: no minimum image,
-// no sqrt, no cutoff test, no spline gathers and no divide at all. That
-// matters because on short half-list tiles the 4-coefficient cross-lane
-// gathers and the vdivpd are most of the vector loop; with them hoisted
-// into phase 1 the replay is the lean "haccmk-shaped" loop this whole
-// layout exists for.
+// Only gathers take this path: a full-list row writes nothing but its own
+// atom, so the whole tile sweep is one SIMD reduction. Half-list scatter
+// rows were measured slower here (short tiles pad ~45 % and the Newton's
+// third-law scatter stays scalar; see EXPERIMENTS.md) and were removed.
 //
-// Numerical contract: lane arithmetic follows the scalar kernels' Horner
-// forms and image choice; the one deviation is fpair = (...) * (1/r)
-// instead of (...) / r, a <=2 ulp difference. SoA-on vs SoA-off therefore
-// agrees to a few ulps (reduction order + reciprocal rounding), far
-// inside the 1e-12 the equivalence tests and governor shadow checks pin.
+// Numerical contract: lane arithmetic follows the scalar rows' Horner
+// forms and image choice, so SoA and scalar agree to a few ulps
+// (reduction order), far inside the 1e-12 the conformance suite and the
+// governor's shadow checks pin.
 #pragma once
 
 #include <algorithm>
@@ -54,22 +43,17 @@ namespace sdcmd::detail {
 /// AVX-512 register and two AVX2 registers, so one constant serves both.
 inline constexpr int kSoaPadWidth = 8;
 
-/// Lane-buffer block size (stack footprint: a few KiB per thread). Tiles
-/// longer than this are processed in chunks; tile lengths are multiples of
-/// kSoaPadWidth, and kSoaChunk is too, so chunks never straddle a pad
-/// group and every SIMD loop trip count is a multiple of the width.
+/// Atoms per SIMD embedding block (a multiple of kSoaPadWidth, so every
+/// full block's trip count is a multiple of the vector width).
 inline constexpr std::size_t kSoaChunk = 128;
 
-/// Borrowed pointers for one compute() call's SoA fast path. Null x means
-/// the fast path is off and the kernels take their scalar loops.
+/// Borrowed pointers for one compute() call's SoA fast path.
 struct SoaView {
   const double* x = nullptr;  ///< n+1 slots; slot n backs the sentinel
   const double* y = nullptr;
   const double* z = nullptr;
   const std::size_t* tile_index = nullptr;   ///< n+1 padded-block offsets
   const std::uint32_t* tiles = nullptr;      ///< padded neighbor ids
-  const std::uint32_t* len = nullptr;        ///< real sublist lengths, so
-                                             ///< scalar drains skip pads
   std::uint32_t sent = 0;                    ///< sentinel id (= atom count)
   // Branchless minimum image: edge length and its reciprocal per periodic
   // dimension, both zero on free dimensions (nearbyint(dx * 0) == 0).
@@ -78,185 +62,13 @@ struct SoaView {
   PackedSplineView density;
   PackedSplineView pair;
   PackedSplineView embed;
-  // SoA per-pair cache indexed by padded tile slot (density writes, force
-  // replays). r < 0 marks sentinel and cutoff-rejected lanes; cir/cv/cdvdr
-  // are exactly 0.0 on those lanes so the replay needs no extra masking.
-  double* cdx = nullptr;
-  double* cdy = nullptr;
-  double* cdz = nullptr;
-  double* cr = nullptr;
-  double* cdphi = nullptr;
-  double* cir = nullptr;    ///< 1/r (0 on rejected lanes)
-  double* cv = nullptr;     ///< pair spline value v(r) (0 on rejected)
-  double* cdvdr = nullptr;  ///< pair spline derivative (0 on rejected)
-
-  bool active() const { return x != nullptr; }
 };
-
-/// Phase-1 tile sweep for atom i: SIMD loop computes minimum image,
-/// cutoff mask, the density spline AND the pair spline for every lane
-/// (r is live in a register, so the second spline costs one extra
-/// coefficient gather here and saves gathers + a divide in the replay),
-/// records the pair cache at the padded slots, accumulates rho_i, and
-/// stages each lane's phi; a scalar loop bounded by the real sublist
-/// length then hands non-zero contributions to `scatter(j, phi)` under
-/// the calling strategy's protection. Returns rho_i.
-template <class ScatterRho>
-inline double soa_density_atom(const SoaView& s, double cutoff2,
-                               std::size_t i, ScatterRho&& scatter) {
-  const double* __restrict xs = s.x;
-  const double* __restrict ys = s.y;
-  const double* __restrict zs = s.z;
-  const double xi = xs[i], yi = ys[i], zi = zs[i];
-  const double lx = s.lx, ly = s.ly, lz = s.lz;
-  const double ilx = s.ilx, ily = s.ily, ilz = s.ilz;
-  const std::uint32_t sent = s.sent;
-  const double* __restrict coef = s.density.coef;
-  const double sx0 = s.density.x0;
-  const double sdx = s.density.dx;
-  const double slast = static_cast<double>(s.density.segments - 1);
-  const double* __restrict pcoef = s.pair.coef;
-  const double px0 = s.pair.x0;
-  const double pdx = s.pair.dx;
-  const double plast = static_cast<double>(s.pair.segments - 1);
-  const std::size_t begin = s.tile_index[i];
-  const std::size_t end = s.tile_index[i + 1];
-  const std::size_t real_end = begin + s.len[i];
-  double rho_i = 0.0;
-  for (std::size_t b = begin; b < end; b += kSoaChunk) {
-    const std::size_t m = std::min(end - b, kSoaChunk);
-    const std::uint32_t* __restrict jl = s.tiles + b;
-    double* __restrict cdx = s.cdx + b;
-    double* __restrict cdy = s.cdy + b;
-    double* __restrict cdz = s.cdz + b;
-    double* __restrict cr = s.cr + b;
-    double* __restrict cdphi = s.cdphi + b;
-    double* __restrict cir = s.cir + b;
-    double* __restrict cv = s.cv + b;
-    double* __restrict cdvdr = s.cdvdr + b;
-    double phi_lane[kSoaChunk];
-#pragma omp simd reduction(+ : rho_i)
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::uint32_t j = jl[k];
-      double dx = xi - xs[j];
-      double dy = yi - ys[j];
-      double dz = zi - zs[j];
-      dx -= lx * std::nearbyint(dx * ilx);
-      dy -= ly * std::nearbyint(dy * ily);
-      dz -= lz * std::nearbyint(dz * ilz);
-      const double r2 = dx * dx + dy * dy + dz * dz;
-      const bool in = (j != sent) & (r2 < cutoff2);
-      const double r = std::sqrt(r2);
-      // Interval-indexed splines: index computation + one contiguous
-      // 4-coefficient load per lane (a cross-lane gather), Horner form.
-      double fidx = std::floor((r - sx0) / sdx);
-      fidx = fidx < 0.0 ? 0.0 : fidx;
-      fidx = fidx > slast ? slast : fidx;
-      const double t = r - (sx0 + sdx * fidx);
-      const double* __restrict c =
-          coef + 4 * static_cast<std::size_t>(fidx);
-      const double phi0 = c[0] + t * (c[1] + t * (c[2] + t * c[3]));
-      const double dphi = c[1] + t * (2.0 * c[2] + 3.0 * t * c[3]);
-      double pfidx = std::floor((r - px0) / pdx);
-      pfidx = pfidx < 0.0 ? 0.0 : pfidx;
-      pfidx = pfidx > plast ? plast : pfidx;
-      const double pt = r - (px0 + pdx * pfidx);
-      const double* __restrict pc =
-          pcoef + 4 * static_cast<std::size_t>(pfidx);
-      const double v = pc[0] + pt * (pc[1] + pt * (pc[2] + pt * pc[3]));
-      const double dvdr = pc[1] + pt * (2.0 * pc[2] + 3.0 * pt * pc[3]);
-      const double phi = in ? phi0 : 0.0;
-      phi_lane[k] = phi;
-      rho_i += phi;
-      cdx[k] = dx;
-      cdy[k] = dy;
-      cdz[k] = dz;
-      cr[k] = in ? r : -1.0;
-      cdphi[k] = dphi;
-      cir[k] = in ? 1.0 / r : 0.0;
-      cv[k] = in ? v : 0.0;
-      cdvdr[k] = in ? dvdr : 0.0;
-    }
-    // Drain only the real sublist prefix - pads live at the tile's tail.
-    const std::size_t dm = real_end > b ? std::min(real_end - b, m) : 0;
-    for (std::size_t k = 0; k < dm; ++k) {
-      // phi == 0 covers cutoff rejections AND true zero contributions -
-      // scattering the latter would add +0.0, a no-op the scalar path
-      // performs and this one skips.
-      if (phi_lane[k] != 0.0) scatter(jl[k], phi_lane[k]);
-    }
-  }
-  return rho_i;
-}
 
 struct SoaForceOut {
   double fx = 0.0, fy = 0.0, fz = 0.0;  ///< force on atom i
   double energy = 0.0;                  ///< pair-energy partial sum
   double virial = 0.0;
 };
-
-/// Phase-3 tile replay for atom i: the branch-free PairCache replay loop.
-/// Everything expensive was cached at density time, so each lane is pure
-/// contiguous loads (geometry, phi', 1/r, v, dv/dr) plus one fp[] gather
-/// and a handful of FMAs - no spline evaluation, no divide, no masking
-/// beyond the index clamp (rejected lanes carry exact zeros). Reduces
-/// f_i/energy/virial and stages per-lane force vectors; the scalar loop,
-/// bounded by the real sublist length, hands accepted lanes to
-/// `scatter(j, fx, fy, fz)` for the Newton's-third-law update.
-template <class ScatterForce>
-inline void soa_force_atom(const SoaView& s, const double* __restrict fp,
-                           double fp_i, std::size_t i, SoaForceOut& out,
-                           ScatterForce&& scatter) {
-  const std::uint32_t sent = s.sent;
-  const std::size_t begin = s.tile_index[i];
-  const std::size_t end = s.tile_index[i + 1];
-  const std::size_t real_end = begin + s.len[i];
-  double fxi = 0.0, fyi = 0.0, fzi = 0.0, energy = 0.0, virial = 0.0;
-  for (std::size_t b = begin; b < end; b += kSoaChunk) {
-    const std::size_t m = std::min(end - b, kSoaChunk);
-    const std::uint32_t* __restrict jl = s.tiles + b;
-    const double* __restrict cdx = s.cdx + b;
-    const double* __restrict cdy = s.cdy + b;
-    const double* __restrict cdz = s.cdz + b;
-    const double* __restrict cr = s.cr + b;
-    const double* __restrict cdphi = s.cdphi + b;
-    const double* __restrict cir = s.cir + b;
-    const double* __restrict cv = s.cv + b;
-    const double* __restrict cdvdr = s.cdvdr + b;
-    double fxl[kSoaChunk], fyl[kSoaChunk], fzl[kSoaChunk];
-#pragma omp simd reduction(+ : fxi, fyi, fzi, energy, virial)
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::uint32_t j = jl[k];
-      const std::uint32_t js = j < sent ? j : 0u;  // clamp the fp gather
-      const double fp_sum = fp_i + fp[js];
-      // cir-masking: rejected and sentinel lanes hold cir == 0 and
-      // cdvdr == 0, so fpair (and with it fx/fy/fz and the virial term)
-      // is exactly +/-0.0 there with no select needed.
-      const double fpair = -(cdvdr[k] + fp_sum * cdphi[k]) * cir[k];
-      const double fx = fpair * cdx[k];
-      const double fy = fpair * cdy[k];
-      const double fz = fpair * cdz[k];
-      fxl[k] = fx;
-      fyl[k] = fy;
-      fzl[k] = fz;
-      fxi += fx;
-      fyi += fy;
-      fzi += fz;
-      energy += cv[k];
-      virial += fpair * cr[k] * cr[k];
-    }
-    // Drain only the real sublist prefix - pads live at the tile's tail.
-    const std::size_t dm = real_end > b ? std::min(real_end - b, m) : 0;
-    for (std::size_t k = 0; k < dm; ++k) {
-      if (cr[k] >= 0.0) scatter(jl[k], fxl[k], fyl[k], fzl[k]);
-    }
-  }
-  out.fx = fxi;
-  out.fy = fyi;
-  out.fz = fzi;
-  out.energy = energy;
-  out.virial = virial;
-}
 
 /// RC (full-list) density gather for atom i: no scatter, no cache - a pure
 /// SIMD reduction over the padded tile.
@@ -302,7 +114,9 @@ inline double soa_rc_density_atom(const SoaView& s, double cutoff2,
 
 /// RC (full-list) force gather for atom i: geometry recomputed, both
 /// splines evaluated per lane, no scatter at all - the GPU-natural
-/// formulation, and the easiest loop for the vectorizer.
+/// formulation, and the easiest loop for the vectorizer. Like the scalar
+/// row it sums each pair's energy and virial in full; the caller halves
+/// the totals (every pair is visited from both sides).
 inline void soa_rc_force_atom(const SoaView& s, double cutoff2,
                               const double* __restrict fp, double fp_i,
                               std::size_t i, SoaForceOut& out) {
@@ -356,10 +170,8 @@ inline void soa_rc_force_atom(const SoaView& s, double cutoff2,
     fxi += fpair * dx;
     fyi += fpair * dy;
     fzi += fpair * dz;
-    // Each pair is visited from both sides; halve the pairwise sums so
-    // totals match the half-list kernels.
-    energy += in ? 0.5 * v : 0.0;
-    virial += 0.5 * fpair * r * r;
+    energy += in ? v : 0.0;
+    virial += fpair * r * r;
   }
   out.fx = fxi;
   out.fy = fyi;

@@ -7,23 +7,9 @@
 #include "common/error.hpp"
 #include "common/threads.hpp"
 #include "core/detail/eam_kernels.hpp"
-#include "core/lock_pool.hpp"
+#include "core/detail/skeleton.hpp"
 
 namespace sdcmd {
-
-/// Reusable per-thread replicas for the ArrayPrivatization kernels. Kept
-/// out of the header so callers don't depend on the buffer layout.
-struct EamForceComputer::SapWorkspace {
-  std::vector<std::vector<double>> rho;
-  std::vector<std::vector<Vec3>> force;
-
-  std::size_t bytes() const {
-    std::size_t total = 0;
-    for (const auto& b : rho) total += b.capacity() * sizeof(double);
-    for (const auto& b : force) total += b.capacity() * sizeof(Vec3);
-    return total;
-  }
-};
 
 /// Per-pair geometry/spline cache, indexed by CSR slot (neigh_index[i] + k).
 /// The density phase writes every slot; the force phase reads them back
@@ -52,42 +38,23 @@ struct EamForceComputer::PairCache {
 };
 
 /// Owned storage behind detail::SoaView: the persistent x/y/z mirror of the
-/// positions (refreshed inside the fused region every step) and the SoA
-/// per-pair cache indexed by padded tile slot. Reused across steps like the
-/// scalar PairCache; RC sizes the cache arrays to zero (gather kernels
-/// never touch them).
+/// positions, refreshed inside the fused region every step. Slot n backs
+/// the pad sentinel: lanes gather it before their mask applies, so it
+/// holds a finite value and masked arithmetic stays exception-free.
 struct EamForceComputer::SoaWorkspace {
-  std::vector<double> x, y, z;  ///< n+1 slots; slot n backs the sentinel
-  /// Padded tile slots: geometry + density derivative (the scalar cache's
-  /// fields) plus 1/r and the pair spline's (v, dv/dr), hoisted into the
-  /// density phase so the force replay is gather- and divide-free.
-  std::vector<double> cdx, cdy, cdz, cr, cdphi, cir, cv, cdvdr;
+  std::vector<double> x, y, z;
 
-  void resize(std::size_t n, std::size_t padded_slots) {
+  void resize(std::size_t n) {
     x.resize(n + 1);
     y.resize(n + 1);
     z.resize(n + 1);
-    // Sentinel lanes gather slot n before their mask applies; keep it at a
-    // finite value so masked arithmetic stays exception-free.
     x[n] = 0.0;
     y[n] = 0.0;
     z[n] = 0.0;
-    cdx.resize(padded_slots);
-    cdy.resize(padded_slots);
-    cdz.resize(padded_slots);
-    cr.resize(padded_slots);
-    cdphi.resize(padded_slots);
-    cir.resize(padded_slots);
-    cv.resize(padded_slots);
-    cdvdr.resize(padded_slots);
   }
 
   std::size_t bytes() const {
-    return (x.capacity() + y.capacity() + z.capacity() + cdx.capacity() +
-            cdy.capacity() + cdz.capacity() + cr.capacity() +
-            cdphi.capacity() + cir.capacity() + cv.capacity() +
-            cdvdr.capacity()) *
-           sizeof(double);
+    return (x.capacity() + y.capacity() + z.capacity()) * sizeof(double);
   }
 };
 
@@ -95,67 +62,40 @@ EamForceComputer::EamForceComputer(const EamPotential& potential,
                                    EamForceConfig config)
     : potential_(potential),
       config_(config),
+      engine_(std::make_unique<detail::ReductionEngine>(config.strategy,
+                                                        config.sdc)),
       cache_(std::make_unique<PairCache>()),
       t_density_(timers_.index("density")),
       t_embed_(timers_.index("embed")),
-      t_force_(timers_.index("force")) {
-  if (config_.strategy == ReductionStrategy::ArrayPrivatization) {
-    sap_ = std::make_unique<SapWorkspace>();
-  }
-  if (config_.strategy == ReductionStrategy::LockStriped) {
-    locks_ = std::make_unique<LockPool>();
-  }
-}
+      t_force_(timers_.index("force")) {}
 
 EamForceComputer::~EamForceComputer() = default;
 
 void EamForceComputer::attach_schedule(const Box& box,
                                        double interaction_range) {
-  if (config_.strategy == ReductionStrategy::Sdc) {
-    schedule_ =
-        std::make_unique<SdcSchedule>(box, interaction_range, config_.sdc);
-  } else if (config_.strategy == ReductionStrategy::CellTask) {
-    task_sched_ = std::make_unique<CellTaskSchedule>(box, interaction_range);
-    // One lock per block: block -> lock is the identity, no stripe sharing.
-    task_locks_ = std::make_unique<LockPool>(task_sched_->block_count());
-  }
+  engine_->attach_schedule(box, interaction_range);
 }
 
 void EamForceComputer::set_strategy(ReductionStrategy strategy) {
-  if (strategy == config_.strategy) return;
-  SDCMD_REQUIRE(required_mode(strategy) == required_mode(config_.strategy),
-                "cannot hot-swap " + to_string(config_.strategy) + " -> " +
-                    to_string(strategy) +
-                    ": the swap would change the neighbor-list mode");
+  engine_->set_strategy(strategy);
   config_.strategy = strategy;
-  if (strategy == ReductionStrategy::ArrayPrivatization && sap_ == nullptr) {
-    sap_ = std::make_unique<SapWorkspace>();
-  }
-  if (strategy == ReductionStrategy::LockStriped && locks_ == nullptr) {
-    locks_ = std::make_unique<LockPool>();
-  }
-  if (strategy != ReductionStrategy::Sdc) {
-    // Free the sweep schedule; a later re-promotion rebuilds it via
-    // attach_schedule + on_neighbor_rebuild.
-    schedule_.reset();
-  }
-  if (strategy != ReductionStrategy::CellTask) {
-    // Same discipline for the cell-task grid and its per-block locks.
-    task_sched_.reset();
-    task_locks_.reset();
-  }
 }
 
 void EamForceComputer::on_neighbor_rebuild(std::span<const Vec3> positions) {
-  if (config_.strategy == ReductionStrategy::Sdc) {
-    SDCMD_REQUIRE(schedule_ != nullptr,
-                  "attach_schedule must run before on_neighbor_rebuild");
-    schedule_->rebuild(positions);
-  } else if (config_.strategy == ReductionStrategy::CellTask) {
-    SDCMD_REQUIRE(task_sched_ != nullptr,
-                  "attach_schedule must run before on_neighbor_rebuild");
-    task_sched_->rebuild(positions);
-  }
+  engine_->on_neighbor_rebuild(positions);
+}
+
+const SdcSchedule* EamForceComputer::schedule() const {
+  return engine_->schedule();
+}
+
+const CellTaskSchedule* EamForceComputer::task_schedule() const {
+  return engine_->task_schedule();
+}
+
+const EamSplineTables* EamForceComputer::spline_tables() const {
+  const EamSplineTables* tables = potential_.spline_tables();
+  return tables != nullptr && tables->valid() ? tables : nullptr;
 }
 
 EamForceResult EamForceComputer::compute(const Box& box,
@@ -178,63 +118,26 @@ EamForceResult EamForceComputer::compute(const Box& box,
                 "neighbor list cutoff shorter than the potential range");
   // All preconditions are checked here, BEFORE the parallel region opens:
   // the kernels themselves must never throw.
-  if (config_.strategy == ReductionStrategy::Sdc) {
-    SDCMD_REQUIRE(schedule_ != nullptr && schedule_->built(),
-                  "SDC schedule not built; call attach_schedule and "
-                  "on_neighbor_rebuild first");
-    SDCMD_REQUIRE(schedule_->partition().atom_count() == n,
-                  "partition is stale: rebuild the SDC schedule after the "
-                  "neighbor list");
-  }
-  if (config_.strategy == ReductionStrategy::CellTask) {
-    SDCMD_REQUIRE(task_sched_ != nullptr && task_sched_->built() &&
-                      task_locks_ != nullptr,
-                  "cell-task schedule not built; call attach_schedule and "
-                  "on_neighbor_rebuild first");
-    SDCMD_REQUIRE(task_sched_->atom_count() == n,
-                  "cell-task partition is stale: rebuild the schedule after "
-                  "the neighbor list");
-  }
+  engine_->require_ready(n);
 
   const double cutoff = potential_.cutoff();
-  detail::EamArgs args{box,        positions,
-                       list,       potential_,
-                       cutoff * cutoff, config_.dynamic_schedule};
-  if (config_.use_spline_tables) {
-    // Devirtualize: tabulated potentials expose their spline knots as flat
-    // POD tables the inner loops can evaluate inline.
-    const EamSplineTables* tables = potential_.spline_tables();
-    if (tables != nullptr && tables->valid()) args.tables = tables;
-  }
-  const bool caching =
-      config_.use_pair_cache &&
-      config_.strategy != ReductionStrategy::RedundantComputation;
-  const bool rc =
-      config_.strategy == ReductionStrategy::RedundantComputation;
-  // SoA fast path: needs packed spline tables, a padded-tile list, and a
-  // strategy whose kernels profit - RC's full-list gathers always, the
-  // half-list scatter kernels only on explicit opt-in (they also need the
-  // pair cache for the replay loop). The CellTask kernels are scalar-only
-  // (staged cross-block scatter has no vector form), so they keep the
-  // scalar loops even under soa_half_lists - a padded list built for the
-  // opt-in just goes unused while CellTask is active, which keeps
-  // neighbor_pad_width() stable across governor hot-swaps. Any miss falls
-  // back to the scalar loops.
-  const bool soa_on = config_.use_soa_path && args.tables != nullptr &&
-                      args.tables->packed_valid() &&
-                      list.has_padded_tiles() &&
-                      config_.strategy != ReductionStrategy::CellTask &&
-                      (rc || (caching && config_.soa_half_lists));
+  detail::EamArgs args{box,        positions,       list,
+                       potential_, cutoff * cutoff, spline_tables(),
+                       {}};
+  // Full lists gather (RC); half lists scatter through the pair cache.
+  const bool gather = list.mode() == NeighborMode::Full;
+  // SIMD gathers need padded tiles and packed spline tables.
+  const bool soa_on = gather && list.has_padded_tiles() &&
+                      args.tables != nullptr && args.tables->packed_valid();
+  detail::SoaView sv;
   if (soa_on) {
     if (soa_ == nullptr) soa_ = std::make_unique<SoaWorkspace>();
-    soa_->resize(n, rc ? 0 : list.padded_pair_count());
-    detail::SoaView sv;
+    soa_->resize(n);
     sv.x = soa_->x.data();
     sv.y = soa_->y.data();
     sv.z = soa_->z.data();
     sv.tile_index = list.tile_index().data();
     sv.tiles = list.padded_list().data();
-    sv.len = list.neigh_len().data();
     sv.sent = list.pad_sentinel();
     const Vec3 len = box.lengths();
     sv.lx = box.periodic(0) ? len.x : 0.0;
@@ -246,30 +149,20 @@ EamForceResult EamForceComputer::compute(const Box& box,
     sv.density = args.tables->density_packed;
     sv.pair = args.tables->pair_packed;
     sv.embed = args.tables->embed_packed;
-    if (!rc) {
-      sv.cdx = soa_->cdx.data();
-      sv.cdy = soa_->cdy.data();
-      sv.cdz = soa_->cdz.data();
-      sv.cr = soa_->cr.data();
-      sv.cdphi = soa_->cdphi.data();
-      sv.cir = soa_->cir.data();
-      sv.cv = soa_->cv.data();
-      sv.cdvdr = soa_->cdvdr.data();
-    }
-    args.soa = sv;
-  } else if (caching) {
-    // The scalar cache is only needed when the SoA path (whose padded-slot
-    // cache subsumes it) is not running.
+  } else if (!gather) {
     cache_->resize(list.pair_count());
     args.cache = cache_->refs();
   }
 
+  const bool serial = config_.strategy == ReductionStrategy::Serial;
+  const int team_request = serial ? 1 : max_threads();
+  obs::SdcSweepProfiler* prof = nullptr;
   if (profiler_.enabled()) {
     // Shape the sample store to the current sweep; the (string-building)
     // configure call runs only when the shape actually changed, so the
     // steady state does no string work.
     const int colors = config_.strategy == ReductionStrategy::Sdc
-                           ? schedule_->color_count()
+                           ? engine_->schedule()->color_count()
                            : 1;
     const int threads = max_threads();
     if (colors != prof_colors_ || threads != prof_threads_) {
@@ -278,252 +171,160 @@ EamForceResult EamForceComputer::compute(const Box& box,
       prof_threads_ = threads;
     }
     profiler_.begin_step();
-    args.profiler = &profiler_;
+    prof = &profiler_;
   }
 
   const bool hw = hw_profiler_.enabled();
   if (hw) {
     // Same reshape discipline as the sweep profiler: string work only when
     // the thread count actually changed.
-    const int threads =
-        config_.strategy == ReductionStrategy::Serial ? 1 : max_threads();
-    if (threads != hw_threads_) {
-      hw_profiler_.configure({"density", "embed", "force"}, threads);
-      hw_threads_ = threads;
+    if (team_request != hw_threads_) {
+      hw_profiler_.configure({"density", "embed", "force"}, team_request);
+      hw_threads_ = team_request;
     }
     hw_profiler_.begin_step();
   }
 
-  // SoA position mirror refresh targets (null when the path is off).
-  double* sx = soa_on ? soa_->x.data() : nullptr;
-  double* sy = soa_on ? soa_->y.data() : nullptr;
-  double* sz = soa_on ? soa_->z.data() : nullptr;
-
-  EamForceResult result;
-  if (config_.strategy == ReductionStrategy::Serial) {
-    std::fill(rho.begin(), rho.end(), 0.0);
-    std::fill(force.begin(), force.end(), Vec3{});
-    if (soa_on) {
-      for (std::size_t i = 0; i < n; ++i) {
-        sx[i] = positions[i].x;
-        sy[i] = positions[i].y;
-        sz[i] = positions[i].z;
-      }
-    }
-    if (hw) hw_profiler_.thread_begin(0);
+  // Fused pipeline: ONE parallel region covers zeroing, density, embed and
+  // force, so each step pays a single fork/join instead of three (plus
+  // serial zeroing) - the paper's "one parallel region per sweep" idea
+  // extended to the whole step. Serial runs the same pipeline in a team of
+  // one. Every phase ends at a barrier; the master clocks those boundaries
+  // so the per-phase timers keep working.
+  const auto slots = static_cast<std::size_t>(team_request);
+  embed_parts_.assign(slots, 0.0);
+  energy_parts_.assign(slots, 0.0);
+  virial_parts_.assign(slots, 0.0);
+  engine_->begin(n, team_request, prof);
+  int team = 1;
+  double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
+  // `run_phase` is the engine's strategy dispatch for half-list rows, or
+  // its gather shape for rows that only exist on full lists.
+  auto fused = [&](auto density_row, auto force_row, auto run_phase) {
+#pragma omp parallel num_threads(team_request)
     {
-      ScopedTimer timer(timers_.slot(t_density_));
-      detail::density_serial(args, rho);
-    }
-    if (hw) hw_profiler_.thread_mark(0, 0);
-    {
-      ScopedTimer timer(timers_.slot(t_embed_));
-      result.embedding_energy = detail::embed_serial(args, rho, fp);
-    }
-    if (hw) hw_profiler_.thread_mark(1, 0);
-    {
-      ScopedTimer timer(timers_.slot(t_force_));
-      detail::ForceSums sums;
-      detail::force_serial(args, fp, force, sums);
-      result.pair_energy = sums.pair_energy;
-      result.virial = sums.virial;
-    }
-    if (hw) hw_profiler_.thread_mark(2, 0);
-  } else {
-    // Fused pipeline: ONE parallel region covers zeroing, density, embed
-    // and force, so each step pays a single fork/join instead of three
-    // (plus serial zeroing) - the paper's "one parallel region per sweep"
-    // idea extended to the whole step. Phase boundaries are the barriers
-    // already ending each team kernel; the master clocks them so the
-    // per-phase timers keep working.
-    const int slots = max_threads();
-    embed_parts_.assign(static_cast<std::size_t>(slots), 0.0);
-    energy_parts_.assign(static_cast<std::size_t>(slots), 0.0);
-    virial_parts_.assign(static_cast<std::size_t>(slots), 0.0);
-    if (sap_ != nullptr) {
-      // Replica *zeroing* happens inside the team kernels (each thread
-      // first-touches its own replica); only the outer vector is sized here.
-      sap_->rho.resize(static_cast<std::size_t>(slots));
-      sap_->force.resize(static_cast<std::size_t>(slots));
-    }
-    if (config_.strategy == ReductionStrategy::CellTask) {
-      // Work-stealing cursors/counters reset serially, BEFORE the region:
-      // both phases' queues are armed here so no mid-region reset (and no
-      // extra barrier) is needed between density and force.
-      if (task_rt_ == nullptr) task_rt_ = std::make_unique<CellTaskRuntime>();
-      task_rt_->reset(slots, task_sched_->block_count());
-    }
-    int team = 1;
-    double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
-#pragma omp parallel
-    {
+      const int tid = omp_get_thread_num();
       // Counter baselines are per-thread state, so unlike the master-only
-      // clock reads below, every thread takes its own reading. The group fd
-      // is opened lazily by the owning thread on first use.
-      if (hw) hw_profiler_.thread_begin(omp_get_thread_num());
+      // clock reads below, every thread takes its own reading.
+      if (hw) hw_profiler_.thread_begin(tid);
 #pragma omp master
       {
         team = omp_get_num_threads();
         t0 = wall_time();
       }
-      // First-touch zeroing: distributed with the same static schedule as
-      // the atom sweeps so each page lands on the NUMA node of the thread
-      // that will process it. The SoA position mirror refreshes in the
-      // same sweep (one pass over the atoms, same page placement). The
-      // implicit barrier orders both before the density scatter.
-#pragma omp for schedule(static)
-      for (std::size_t i = 0; i < n; ++i) {
+      // First-touch zeroing with the same static split as the atom sweeps,
+      // so each page lands on the NUMA node of the thread that will
+      // process it; the SoA position mirror refreshes in the same pass.
+      detail::sweep(n, nullptr, 0, [&](std::size_t i) {
         rho[i] = 0.0;
         fp[i] = 0.0;
         force[i] = Vec3{};
-        if (sx != nullptr) {
-          sx[i] = positions[i].x;
-          sy[i] = positions[i].y;
-          sz[i] = positions[i].z;
+        if (soa_on) {
+          soa_->x[i] = positions[i].x;
+          soa_->y[i] = positions[i].y;
+          soa_->z[i] = positions[i].z;
         }
-      }
-      switch (config_.strategy) {
-        case ReductionStrategy::Critical:
-          detail::density_critical_team(args, rho);
-          break;
-        case ReductionStrategy::Atomic:
-          detail::density_atomic_team(args, rho);
-          break;
-        case ReductionStrategy::LockStriped:
-          detail::density_locks_team(args, *locks_, rho);
-          break;
-        case ReductionStrategy::ArrayPrivatization:
-          detail::density_sap_team(args, rho, sap_->rho);
-          break;
-        case ReductionStrategy::RedundantComputation:
-          detail::density_rc_team(args, rho);
-          break;
-        case ReductionStrategy::Sdc:
-          detail::density_sdc_team(args, schedule_->partition(), rho);
-          break;
-        case ReductionStrategy::CellTask:
-          detail::density_task_team(args, *task_sched_, *task_rt_,
-                                    *task_locks_, rho);
-          break;
-        case ReductionStrategy::Serial:
-          break;  // handled above; unreachable
-      }
-      // Each team kernel ends at a barrier, so the master's clock reads
-      // (and every thread's own counter reads) are true phase boundaries.
-      if (hw) hw_profiler_.thread_mark(0, omp_get_thread_num());
+      });
+      auto density = density_row;
+      run_phase(detail::kProfPhaseDensity, rho.data(), density);
+      if (hw) hw_profiler_.thread_mark(0, tid);
 #pragma omp master
       t1 = wall_time();
-      detail::embed_team(args, rho, fp, embed_parts_.data());
-      if (hw) hw_profiler_.thread_mark(1, omp_get_thread_num());
+      if (soa_on) {
+        detail::SoaEmbedBlock embed{sv.embed, n, rho.data(), fp.data()};
+        detail::sweep((n + detail::kSoaChunk - 1) / detail::kSoaChunk, prof,
+                      detail::kProfPhaseEmbed, embed);
+        embed_parts_[static_cast<std::size_t>(tid)] = embed.energy;
+      } else {
+        detail::EmbedRow embed{args, rho.data(), fp.data()};
+        detail::sweep(n, prof, detail::kProfPhaseEmbed, embed);
+        embed_parts_[static_cast<std::size_t>(tid)] = embed.energy;
+      }
+      if (hw) hw_profiler_.thread_mark(1, tid);
 #pragma omp master
       t2 = wall_time();
-      switch (config_.strategy) {
-        case ReductionStrategy::Critical:
-          detail::force_critical_team(args, fp, force, energy_parts_.data(),
-                                      virial_parts_.data());
-          break;
-        case ReductionStrategy::Atomic:
-          detail::force_atomic_team(args, fp, force, energy_parts_.data(),
-                                    virial_parts_.data());
-          break;
-        case ReductionStrategy::LockStriped:
-          detail::force_locks_team(args, *locks_, fp, force,
-                                   energy_parts_.data(),
-                                   virial_parts_.data());
-          break;
-        case ReductionStrategy::ArrayPrivatization:
-          detail::force_sap_team(args, fp, force, energy_parts_.data(),
-                                 virial_parts_.data(), sap_->force);
-          break;
-        case ReductionStrategy::RedundantComputation:
-          detail::force_rc_team(args, fp, force, energy_parts_.data(),
-                                virial_parts_.data());
-          break;
-        case ReductionStrategy::Sdc:
-          detail::force_sdc_team(args, schedule_->partition(), fp, force,
-                                 energy_parts_.data(), virial_parts_.data());
-          break;
-        case ReductionStrategy::CellTask:
-          detail::force_task_team(args, *task_sched_, *task_rt_,
-                                  *task_locks_, fp, force,
-                                  energy_parts_.data(),
-                                  virial_parts_.data());
-          break;
-        case ReductionStrategy::Serial:
-          break;  // handled above; unreachable
-      }
-      if (hw) hw_profiler_.thread_mark(2, omp_get_thread_num());
+      auto forces = force_row;
+      run_phase(detail::kProfPhaseForce, force.data(), forces);
+      energy_parts_[static_cast<std::size_t>(tid)] = forces.energy;
+      virial_parts_[static_cast<std::size_t>(tid)] = forces.virial;
+      if (hw) hw_profiler_.thread_mark(2, tid);
 #pragma omp master
       t3 = wall_time();
     }
-    timers_.slot(t_density_).add_lap(t1 - t0);  // includes the zeroing sweep
-    timers_.slot(t_embed_).add_lap(t2 - t1);
-    timers_.slot(t_force_).add_lap(t3 - t2);
-    // Sum the per-thread partials in thread order: deterministic for a
-    // fixed team size (unlike an OpenMP reduction's arrival order).
-    double embed_energy = 0.0, pair_energy = 0.0, virial = 0.0;
-    for (int t = 0; t < team; ++t) {
-      embed_energy += embed_parts_[static_cast<std::size_t>(t)];
-      pair_energy += energy_parts_[static_cast<std::size_t>(t)];
-      virial += virial_parts_[static_cast<std::size_t>(t)];
-    }
-    result.embedding_energy = embed_energy;
-    result.pair_energy = pair_energy;
-    result.virial = virial;
+  };
+  auto run_scatter = [this](int phase, auto* out, auto& row) {
+    engine_->run(phase, out, row);
+  };
+  auto run_gather = [this](int phase, auto* out, auto& row) {
+    engine_->gather(phase, out, row);
+  };
+  if (soa_on) {
+    fused(detail::RcSoaDensityRow{sv, args.cutoff2},
+          detail::RcSoaForceRow{sv, args.cutoff2, fp.data()}, run_gather);
+  } else if (gather) {
+    fused(detail::EamDensityRow<false>{args},
+          detail::EamForceRow<false>{args, fp.data()}, run_gather);
+  } else {
+    fused(detail::EamDensityRow<true>{args},
+          detail::EamForceRow<true>{args, fp.data()}, run_scatter);
+  }
+  timers_.slot(t_density_).add_lap(t1 - t0);  // includes the zeroing sweep
+  timers_.slot(t_embed_).add_lap(t2 - t1);
+  timers_.slot(t_force_).add_lap(t3 - t2);
+
+  // Sum the per-thread partials in thread order: deterministic for a fixed
+  // team size (unlike an OpenMP reduction's arrival order). Full lists
+  // visit every pair from both sides, so their pair sums are halved.
+  EamForceResult result;
+  for (int t = 0; t < team; ++t) {
+    const auto k = static_cast<std::size_t>(t);
+    result.embedding_energy += embed_parts_[k];
+    result.pair_energy += energy_parts_[k];
+    result.virial += virial_parts_[k];
+  }
+  if (gather) {
+    result.pair_energy *= 0.5;
+    result.virial *= 0.5;
   }
 
   // Exact work accounting (derived, not sampled: list sizes are exact).
   stats_.density_pair_visits += list.pair_count();
   stats_.force_pair_visits += list.pair_count();
-  const bool scatters = config_.strategy != ReductionStrategy::RedundantComputation;
-  if (scatters) stats_.scatter_updates += 2 * list.pair_count();
+  if (!gather) stats_.scatter_updates += 2 * list.pair_count();
   if (config_.strategy == ReductionStrategy::Sdc) {
-    stats_.color_sweeps += 2 * static_cast<std::size_t>(
-                                   schedule_->color_count());
+    stats_.color_sweeps +=
+        2 * static_cast<std::size_t>(engine_->schedule()->color_count());
   }
-  if (config_.strategy == ReductionStrategy::CellTask &&
-      task_rt_ != nullptr) {
-    double busy_max = 0.0, busy_sum = 0.0, busy_min_s = 0.0;
-    const int team_n = task_rt_->team();
-    for (int t = 0; t < team_n; ++t) {
-      const CellTaskRuntime::ThreadState& ts = task_rt_->thread(t);
+  stats_.task_busy_min = 0.0;
+  stats_.task_busy_mean = 0.0;
+  if (config_.strategy == ReductionStrategy::CellTask) {
+    const CellTaskRuntime& rt = *engine_->task_runtime();
+    double busy_max = 0.0, busy_sum = 0.0, busy_min = 0.0;
+    for (int t = 0; t < rt.team(); ++t) {
+      const CellTaskRuntime::ThreadState& ts = rt.thread(t);
       stats_.task_spawned += ts.tasks;
       stats_.task_steals += ts.steals;
       busy_max = std::max(busy_max, ts.busy_seconds);
       busy_sum += ts.busy_seconds;
-      busy_min_s = t == 0 ? ts.busy_seconds
-                          : std::min(busy_min_s, ts.busy_seconds);
+      busy_min = t == 0 ? ts.busy_seconds : std::min(busy_min, ts.busy_seconds);
     }
     stats_.task_max_queue_depth =
-        std::max(stats_.task_max_queue_depth, task_rt_->max_queue_depth());
-    if (busy_max > 0.0 && team_n > 0) {
-      stats_.task_busy_min = busy_min_s / busy_max;
-      stats_.task_busy_mean = busy_sum / (busy_max * team_n);
-    } else {
-      stats_.task_busy_min = 0.0;
-      stats_.task_busy_mean = 0.0;
+        std::max(stats_.task_max_queue_depth, rt.max_queue_depth());
+    if (busy_max > 0.0) {
+      stats_.task_busy_min = busy_min / busy_max;
+      stats_.task_busy_mean = busy_sum / (busy_max * rt.team());
     }
-  } else {
-    stats_.task_busy_min = 0.0;
-    stats_.task_busy_mean = 0.0;
   }
-  if (sap_) {
-    stats_.private_array_bytes =
-        std::max(stats_.private_array_bytes, sap_->bytes());
-  }
+  stats_.private_array_bytes =
+      std::max(stats_.private_array_bytes, engine_->replica_bytes());
   if (soa_on) {
     ++stats_.soa_steps;
     stats_.soa_pad_fraction = list.pad_fraction();
-    if (!rc) {
-      // The SoA pair cache writes/reads every padded slot.
-      stats_.cache_store_slots += list.padded_pair_count();
-      stats_.cache_read_slots += list.padded_pair_count();
-    }
     stats_.pair_cache_bytes =
         std::max(stats_.pair_cache_bytes, soa_->bytes());
   } else {
     stats_.soa_pad_fraction = 0.0;
-    if (caching) {
+    if (!gather) {
       stats_.cache_store_slots += list.pair_count();
       stats_.cache_read_slots += list.pair_count();
       stats_.pair_cache_bytes =
@@ -534,15 +335,11 @@ EamForceResult EamForceComputer::compute(const Box& box,
 }
 
 int EamForceComputer::neighbor_pad_width() const {
-  const bool rc = config_.strategy == ReductionStrategy::RedundantComputation;
-  const bool eligible =
-      config_.use_soa_path && config_.use_spline_tables &&
-      (rc ||
-       (config_.use_pair_cache && config_.soa_half_lists));
-  if (!eligible) return 0;
-  const EamSplineTables* tables = potential_.spline_tables();
-  if (tables == nullptr || !tables->packed_valid()) return 0;
-  return detail::kSoaPadWidth;
+  const EamSplineTables* tables = spline_tables();
+  const bool packed = tables != nullptr && tables->packed_valid();
+  return packed && required_mode(config_.strategy) == NeighborMode::Full
+             ? detail::kSoaPadWidth
+             : 0;
 }
 
 EamForceResult EamForceComputer::compute_serial_reference(
@@ -556,22 +353,28 @@ EamForceResult EamForceComputer::compute_serial_reference(
   SDCMD_REQUIRE(list.mode() == NeighborMode::Half,
                 "the serial reference kernels walk a half neighbor list");
   const double cutoff = potential_.cutoff();
-  detail::EamArgs args{box,        positions,
-                       list,       potential_,
-                       cutoff * cutoff, config_.dynamic_schedule};
-  if (config_.use_spline_tables) {
-    const EamSplineTables* tables = potential_.spline_tables();
-    if (tables != nullptr && tables->valid()) args.tables = tables;
-  }
+  const detail::EamArgs args{box,        positions,       list,
+                             potential_, cutoff * cutoff, spline_tables(),
+                             {}};
   std::fill(rho.begin(), rho.end(), 0.0);
   std::fill(force.begin(), force.end(), Vec3{});
+  // The skeleton's static sweep in a team of one: every row in order, plain
+  // adds, whatever region the caller is in.
+  const detail::EamDensityRow<false> density{args};
+  detail::EmbedRow embed{args, rho.data(), fp.data()};
+  detail::EamForceRow<false> forces{args, fp.data()};
+#pragma omp parallel num_threads(1)
+  {
+    detail::PlainScatter<double> to_rho{rho.data()};
+    detail::sweep(n, nullptr, 0, [&](std::size_t i) { density(i, to_rho); });
+    detail::sweep(n, nullptr, 0, embed);
+    detail::PlainScatter<Vec3> to_force{force.data()};
+    detail::sweep(n, nullptr, 0, [&](std::size_t i) { forces(i, to_force); });
+  }
   EamForceResult result;
-  detail::density_serial(args, rho);
-  result.embedding_energy = detail::embed_serial(args, rho, fp);
-  detail::ForceSums sums;
-  detail::force_serial(args, fp, force, sums);
-  result.pair_energy = sums.pair_energy;
-  result.virial = sums.virial;
+  result.embedding_energy = embed.energy;
+  result.pair_energy = forces.energy;
+  result.virial = forces.virial;
   return result;
 }
 

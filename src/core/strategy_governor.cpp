@@ -24,10 +24,6 @@ StrategyGovernor::StrategyGovernor(GovernorConfig config)
                 "governor preferred strategy must be on the ladder "
                 "(sdc, celltask, sap, locks, atomic or serial), got " +
                     to_string(config_.preferred));
-  SDCMD_REQUIRE(config_.preferred != ReductionStrategy::CellTask ||
-                    config_.enable_celltask,
-                "governor preferred strategy is celltask but the celltask "
-                "rung is disabled");
   SDCMD_REQUIRE(config_.promote_streak >= 1,
                 "promotion streak must be >= 1");
   SDCMD_REQUIRE(config_.backoff_factor >= 1, "backoff factor must be >= 1");
@@ -88,8 +84,7 @@ bool StrategyGovernor::rung_feasible(ReductionStrategy rung, const Box& box,
     case ReductionStrategy::Sdc:
       return SdcSchedule::feasible(box, interaction_range, config_.sdc);
     case ReductionStrategy::CellTask:
-      return config_.enable_celltask &&
-             CellTaskSchedule::feasible(box, interaction_range);
+      return CellTaskSchedule::feasible(box, interaction_range);
     case ReductionStrategy::ArrayPrivatization:
       return config_.max_private_bytes == 0 ||
              sap_bytes(threads, atom_count) <= config_.max_private_bytes;

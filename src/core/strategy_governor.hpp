@@ -44,10 +44,6 @@ struct GovernorConfig {
   ReductionStrategy preferred = ReductionStrategy::Sdc;
   /// SDC settings used when probing/running the Sdc rung.
   SdcConfig sdc;
-  /// Probe/occupy the CellTask rung. Cleared by drivers whose force
-  /// backend implements no cell-task kernels (the pair backend), so the
-  /// ladder steps straight from Sdc to ArrayPrivatization there.
-  bool enable_celltask = true;
   /// Consecutive feasible steps required before re-promotion (multiplied by
   /// the backoff counter).
   int promote_streak = 20;

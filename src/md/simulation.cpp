@@ -34,8 +34,7 @@ Simulation::Simulation(System system, const PairPotential& potential,
     : Simulation(std::move(system),
                  std::make_unique<PairForceProvider>(
                      potential,
-                     PairForceConfig{config.force.strategy, config.force.sdc,
-                                     config.force.dynamic_schedule}),
+                     PairForceConfig{config.force.strategy, config.force.sdc}),
                  config) {}
 
 Simulation::Simulation(System system,
@@ -201,9 +200,6 @@ void Simulation::set_governor(GovernorConfig config) {
   if (std::optional<SdcConfig> sdc = provider_->sdc_config()) {
     config.sdc = *sdc;  // probe with the config attach_schedule will use
   }
-  // Only the EAM backend implements cell-task kernels; on the pair backend
-  // the ladder must step over that rung.
-  if (provider_->eam_computer() == nullptr) config.enable_celltask = false;
   governor_ = std::make_unique<StrategyGovernor>(config);
   init_governor();
 }
@@ -213,7 +209,6 @@ void Simulation::set_governor(GovernorConfig config,
   if (std::optional<SdcConfig> sdc = provider_->sdc_config()) {
     config.sdc = *sdc;
   }
-  if (provider_->eam_computer() == nullptr) config.enable_celltask = false;
   governor_ = std::make_unique<StrategyGovernor>(config);
   governor_->restore_state(state);
   init_governor();
@@ -409,6 +404,8 @@ void Simulation::set_instrumentation(InstrumentationConfig config) {
     // to the first instrumented step.
     const NeighborBuildStats ns = neighbor_stats();
     if (const EamForceComputer* computer = provider_->eam_computer()) {
+      obs_handles_.prev_cache_stores = computer->stats().cache_store_slots;
+      obs_handles_.prev_cache_reads = computer->stats().cache_read_slots;
       obs_handles_.prev_soa_steps = computer->stats().soa_steps;
       obs_handles_.prev_task_spawned = computer->stats().task_spawned;
       obs_handles_.prev_task_steals = computer->stats().task_steals;

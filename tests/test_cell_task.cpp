@@ -246,38 +246,6 @@ TEST(CellTaskKernels, StatsCountTasksAndQueueShape) {
   EXPECT_EQ(computer.stats().task_busy_mean, 0.0);
 }
 
-TEST(CellTaskKernels, SoaFastPathIsExcluded) {
-  // The task kernels are scalar-only: even a fully SoA-eligible config
-  // (tabulated potential, padded list, soa_half_lists) must not take the
-  // SoA path, and neighbor_pad_width() must not flip when the governor
-  // hot-swaps to CellTask (that would silently invalidate the list).
-  Workload w(6);
-  const TabulatedEam tab =
-      TabulatedEam::from_analytic(w.potential, 2000, 2000, 60.0);
-  EamForceConfig cfg;
-  cfg.strategy = ReductionStrategy::Sdc;
-  cfg.sdc.dimensionality = 2;
-  cfg.soa_half_lists = true;
-  EamForceComputer computer(tab, cfg);
-  const int pad_sdc = computer.neighbor_pad_width();
-  computer.set_strategy(ReductionStrategy::CellTask);
-  EXPECT_EQ(computer.neighbor_pad_width(), pad_sdc);
-
-  computer.attach_schedule(w.box, w.range());
-  computer.on_neighbor_rebuild(w.positions);
-  NeighborListConfig ncfg;
-  ncfg.cutoff = tab.cutoff();
-  ncfg.skin = kSkin;
-  ncfg.pad_width = computer.neighbor_pad_width();
-  NeighborList padded(w.box, ncfg);
-  padded.build(w.positions);
-  std::vector<double> rho(w.positions.size()), fp(w.positions.size());
-  std::vector<Vec3> force(w.positions.size());
-  computer.compute(w.box, w.positions, padded, rho, fp, force);
-  EXPECT_EQ(computer.stats().soa_steps, 0u);
-  EXPECT_EQ(computer.stats().soa_pad_fraction, 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // Hot-swap (the governor's ladder moves).
 

@@ -1,9 +1,10 @@
-// SoA fast-path correctness (ISSUE 8): the SIMD structure-of-arrays EAM
-// loops must reproduce the scalar reference to 1e-12 for every reduction
-// strategy, including sentinel-padded tail tiles, odd atom counts, and a
-// post-update_box mirror refresh; the padded-tile emission and the
-// interval-indexed (packed) spline layout are pinned against their scalar
-// counterparts.
+// SoA fast path: RC's SIMD full-list gathers must reproduce the scalar
+// gathers to 1e-12, including sentinel-padded tail tiles, odd atom counts
+// and a post-update_box mirror refresh; the path must engage exactly when
+// the list carries padded tiles and the potential packed tables. The
+// padded-tile emission and the interval-indexed (packed) spline layout are
+// pinned against their scalar counterparts. (Every strategy's agreement
+// with the serial reference is test_conformance's job.)
 #include "core/detail/eam_soa.hpp"
 
 #include <gtest/gtest.h>
@@ -28,9 +29,9 @@ constexpr double kSkin = 0.4;
 constexpr double kTol = 1e-12;
 
 /// Jittered bcc iron workload evaluated through the tabulated potential
-/// (the SoA path requires packed spline tables). Lists are built WITH
-/// padded tiles; the scalar path simply ignores them, so both paths see
-/// the identical pair enumeration.
+/// (the SoA path requires packed spline tables). Full lists are built both
+/// with padded tiles (SoA) and without (scalar gathers), with identical
+/// pair enumeration.
 struct SoaWorkload {
   Box box;
   std::vector<Vec3> positions;
@@ -38,6 +39,7 @@ struct SoaWorkload {
   TabulatedEam tab = TabulatedEam::from_analytic(fe, 2000, 2000, 60.0);
   std::unique_ptr<NeighborList> half;
   std::unique_ptr<NeighborList> full;
+  std::unique_ptr<NeighborList> full_unpadded;
 
   explicit SoaWorkload(int cells, bool odd_atom_count = false,
                        std::uint64_t seed = 7)
@@ -69,6 +71,9 @@ struct SoaWorkload {
     cfg.mode = NeighborMode::Full;
     full = std::make_unique<NeighborList>(box, cfg);
     full->build(positions);
+    cfg.pad_width = 0;
+    full_unpadded = std::make_unique<NeighborList>(box, cfg);
+    full_unpadded->build(positions);
   }
 
   struct Output {
@@ -78,16 +83,14 @@ struct SoaWorkload {
     EamKernelStats stats;
   };
 
-  Output run(ReductionStrategy strategy, bool soa) {
+  /// RC over the padded (SoA) or unpadded (scalar) full list.
+  Output run_rc(bool soa) {
     EamForceConfig cfg;
-    cfg.strategy = strategy;
-    cfg.sdc.dimensionality = 2;
-    cfg.use_soa_path = soa;
-    cfg.soa_half_lists = true;  // the test measures every strategy
-    return run(cfg);
+    cfg.strategy = ReductionStrategy::RedundantComputation;
+    return run(cfg, soa ? *full : *full_unpadded);
   }
 
-  Output run(const EamForceConfig& cfg) {
+  Output run(const EamForceConfig& cfg, const NeighborList& list) {
     EamForceComputer computer(tab, cfg);
     computer.attach_schedule(box, tab.cutoff() + kSkin);
     computer.on_neighbor_rebuild(positions);
@@ -95,8 +98,6 @@ struct SoaWorkload {
     out.rho.resize(positions.size());
     out.fp.resize(positions.size());
     out.force.resize(positions.size());
-    const NeighborList& list =
-        required_mode(cfg.strategy) == NeighborMode::Full ? *full : *half;
     out.result = computer.compute(box, positions, list, out.rho, out.fp,
                                   out.force);
     out.stats = computer.stats();
@@ -122,56 +123,33 @@ void expect_equivalent(const SoaWorkload::Output& scalar,
               kTol * std::max(1.0, std::abs(scalar.result.virial)));
 }
 
-class SoaEquivalenceTest
-    : public ::testing::TestWithParam<ReductionStrategy> {};
-
-TEST_P(SoaEquivalenceTest, SoaMatchesScalarPath) {
-  // 6 cells: the smallest cube that fits two SDC subdomains per dimension.
-  SoaWorkload w(6);
-  const auto scalar = w.run(GetParam(), /*soa=*/false);
-  const auto soa = w.run(GetParam(), /*soa=*/true);
+TEST(SoaGatherTest, OddAtomCountMatchesScalarGather) {
+  SoaWorkload w(6, /*odd_atom_count=*/true);
+  ASSERT_EQ(w.positions.size() % 2, 1u);
+  const auto scalar = w.run_rc(/*soa=*/false);
+  const auto soa = w.run_rc(/*soa=*/true);
   EXPECT_EQ(scalar.stats.soa_steps, 0u);
   EXPECT_EQ(soa.stats.soa_steps, 1u) << "SoA path did not engage";
   expect_equivalent(scalar, soa);
 }
-
-TEST_P(SoaEquivalenceTest, SoaMatchesScalarPathOddAtomCount) {
-  SoaWorkload w(6, /*odd_atom_count=*/true);
-  ASSERT_EQ(w.positions.size() % 2, 1u);
-  const auto scalar = w.run(GetParam(), /*soa=*/false);
-  const auto soa = w.run(GetParam(), /*soa=*/true);
-  EXPECT_EQ(soa.stats.soa_steps, 1u) << "SoA path did not engage";
-  expect_equivalent(scalar, soa);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategies, SoaEquivalenceTest,
-    ::testing::Values(ReductionStrategy::Serial, ReductionStrategy::Critical,
-                      ReductionStrategy::Atomic, ReductionStrategy::LockStriped,
-                      ReductionStrategy::ArrayPrivatization,
-                      ReductionStrategy::RedundantComputation,
-                      ReductionStrategy::Sdc),
-    [](const ::testing::TestParamInfo<ReductionStrategy>& info) {
-      return to_string(info.param);
-    });
 
 TEST(SoaRefreshTest, MirrorRefreshesAfterUpdateBox) {
   // The SoA position mirror is refreshed from `positions` every step; a
   // box change (deform/barostat path) plus rebuilt lists must therefore
   // still match the scalar path exactly.
   SoaWorkload w(5);
-  const auto before_scalar = w.run(ReductionStrategy::Serial, false);
-  const auto before_soa = w.run(ReductionStrategy::Serial, true);
+  const auto before_scalar = w.run_rc(false);
+  const auto before_soa = w.run_rc(true);
   expect_equivalent(before_scalar, before_soa);
 
   const double scale = 1.01;
   w.box = Box::cubic(w.box.lengths().x * scale);
   for (auto& r : w.positions) r = w.box.wrap(r * scale);
-  EXPECT_FALSE(w.half->update_box(w.box));  // same grid shape, reused
+  EXPECT_FALSE(w.full->update_box(w.box));  // same grid shape, reused
   w.rebuild_lists();
 
-  const auto after_scalar = w.run(ReductionStrategy::Serial, false);
-  const auto after_soa = w.run(ReductionStrategy::Serial, true);
+  const auto after_scalar = w.run_rc(false);
+  const auto after_soa = w.run_rc(true);
   expect_equivalent(after_scalar, after_soa);
   // The deformation genuinely changed the answer (the test isn't vacuous).
   EXPECT_NE(after_scalar.result.pair_energy, before_scalar.result.pair_energy);
@@ -184,7 +162,7 @@ TEST(SoaGatingTest, PadFractionGaugeClearsWhenThePathDisengages) {
   // stale value from the last SoA step must not linger in stats().
   SoaWorkload w(5);
   EamForceConfig cfg;
-  cfg.strategy = ReductionStrategy::RedundantComputation;  // SoA-by-default
+  cfg.strategy = ReductionStrategy::RedundantComputation;
   EamForceComputer computer(w.tab, cfg);
   std::vector<double> rho(w.positions.size()), fp(w.positions.size());
   std::vector<Vec3> force(w.positions.size());
@@ -192,62 +170,38 @@ TEST(SoaGatingTest, PadFractionGaugeClearsWhenThePathDisengages) {
   ASSERT_EQ(computer.stats().soa_steps, 1u) << "SoA path did not engage";
   ASSERT_GT(computer.stats().soa_pad_fraction, 0.0);
 
-  NeighborListConfig plain;
-  plain.cutoff = w.tab.cutoff();
-  plain.skin = kSkin;
-  plain.mode = NeighborMode::Full;  // pad_width 0: scalar path
-  NeighborList unpadded(w.box, plain);
-  unpadded.build(w.positions);
-  computer.compute(w.box, w.positions, unpadded, rho, fp, force);
+  computer.compute(w.box, w.positions, *w.full_unpadded, rho, fp, force);
   EXPECT_EQ(computer.stats().soa_steps, 1u);  // did not engage again
   EXPECT_EQ(computer.stats().soa_pad_fraction, 0.0);
 }
 
-TEST(SoaGatingTest, HalfListStrategiesNeedExplicitOptIn) {
-  // Production heuristic: half-list scatter strategies measured slower
-  // under SoA, so use_soa_path alone must NOT engage them...
+TEST(SoaGatingTest, HalfListsStayScalarEvenWhenPadded) {
+  // Half-list scatter rows have no SIMD form: a padded half list under a
+  // half-list strategy runs the scalar rows and ignores the tiles.
   SoaWorkload w(6);
   EamForceConfig cfg;
   cfg.strategy = ReductionStrategy::Sdc;
-  cfg.sdc.dimensionality = 2;
-  cfg.use_soa_path = true;
-  cfg.soa_half_lists = false;
-  const auto sdc = w.run(cfg);
+  ASSERT_TRUE(w.half->has_padded_tiles());
+  const auto sdc = w.run(cfg, *w.half);
   EXPECT_EQ(sdc.stats.soa_steps, 0u);
   EXPECT_EQ(sdc.stats.soa_pad_fraction, 0.0);
-
-  // ...while RC's full-list gathers engage by default.
-  cfg.strategy = ReductionStrategy::RedundantComputation;
-  const auto rc = w.run(cfg);
-  EXPECT_EQ(rc.stats.soa_steps, 1u);
-  EXPECT_EQ(rc.stats.soa_pad_fraction, w.full->pad_fraction());
 }
 
-TEST(SoaGatingTest, NeighborPadWidthFollowsTheHeuristic) {
+TEST(SoaGatingTest, NeighborPadWidthAsksForTilesOnlyUnderRc) {
   SoaWorkload w(4);
-  auto pad_width = [&](EamForceConfig cfg) {
-    EamForceComputer computer(w.tab, cfg);
-    return computer.neighbor_pad_width();
+  auto pad_width = [&](const EamPotential& pot, ReductionStrategy s) {
+    EamForceConfig cfg;
+    cfg.strategy = s;
+    return EamForceComputer(pot, cfg).neighbor_pad_width();
   };
-  EamForceConfig cfg;
-  cfg.strategy = ReductionStrategy::RedundantComputation;
-  EXPECT_EQ(pad_width(cfg), detail::kSoaPadWidth);
-  cfg.use_soa_path = false;
-  EXPECT_EQ(pad_width(cfg), 0);
-
-  cfg = {};
-  cfg.strategy = ReductionStrategy::Sdc;
-  EXPECT_EQ(pad_width(cfg), 0);  // half list, no opt-in
-  cfg.soa_half_lists = true;
-  EXPECT_EQ(pad_width(cfg), detail::kSoaPadWidth);
-  cfg.use_pair_cache = false;  // replay loop needs the cache
-  EXPECT_EQ(pad_width(cfg), 0);
-
+  EXPECT_EQ(pad_width(w.tab, ReductionStrategy::RedundantComputation),
+            detail::kSoaPadWidth);
+  for (ReductionStrategy s : kAllStrategies) {
+    if (s == ReductionStrategy::RedundantComputation) continue;
+    EXPECT_EQ(pad_width(w.tab, s), 0) << to_string(s);
+  }
   // Analytic potentials expose no spline tables: never padded.
-  EamForceConfig rc_cfg;
-  rc_cfg.strategy = ReductionStrategy::RedundantComputation;
-  EamForceComputer analytic(w.fe, rc_cfg);
-  EXPECT_EQ(analytic.neighbor_pad_width(), 0);
+  EXPECT_EQ(pad_width(w.fe, ReductionStrategy::RedundantComputation), 0);
 }
 
 TEST(PaddedTileTest, TilesReplicateSublistsWithSentinelTails) {

@@ -664,6 +664,42 @@ TEST(SimulationInstrumentation, CountersJsonlAndTrace) {
   std::remove(jsonl_path.c_str());
 }
 
+TEST(SimulationInstrumentation, CacheCountersMeasureFromAttach) {
+  // Regression: set_instrumentation seeds the pair-cache delta trackers
+  // like every other EAM counter. Attaching after stepping (or again after
+  // clear_instrumentation) used to charge every earlier compute's slots to
+  // the first instrumented step: 7 computes x the pair count here.
+  LatticeSpec spec;
+  spec.type = LatticeType::Bcc;
+  spec.a0 = units::kLatticeFe;
+  spec.nx = spec.ny = spec.nz = 6;
+  System system = System::from_lattice(spec, units::kMassFe);
+  FinnisSinclair iron(FinnisSinclairParams::iron());
+  SimulationConfig cfg;
+  cfg.dt = units::fs_to_internal(1.0);
+  cfg.force.strategy = ReductionStrategy::Sdc;
+  Simulation sim(std::move(system), iron, cfg);
+  sim.run(5);
+
+  for (int attach = 0; attach < 2; ++attach) {
+    obs::MetricsRegistry registry;
+    InstrumentationConfig instr;
+    instr.registry = &registry;
+    sim.set_instrumentation(instr);
+    sim.run(1);
+    const double pairs =
+        static_cast<double>(sim.neighbor_list().pair_count());
+    EXPECT_DOUBLE_EQ(registry.value(registry.counter("eam.cache_store_slots")),
+                     pairs)
+        << "attach " << attach;
+    EXPECT_DOUBLE_EQ(registry.value(registry.counter("eam.cache_read_slots")),
+                     pairs)
+        << "attach " << attach;
+    sim.clear_instrumentation();
+    sim.run(2);
+  }
+}
+
 TEST(SimulationInstrumentation, HwAndSweepGaugesRoundTripThroughJsonl) {
   LatticeSpec spec;
   spec.type = LatticeType::Bcc;

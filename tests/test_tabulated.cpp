@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -87,6 +88,40 @@ TEST(TabulatedEam, FromAnalyticRejectsDegenerateGrids) {
                PreconditionError);
   EXPECT_THROW(TabulatedEam::from_analytic(fe, 100, 100, -1.0),
                PreconditionError);
+}
+
+TEST(TabulatedEam, SplineTablesMatchVirtualDispatch) {
+  // The force kernels evaluate TabulatedEam through its flattened
+  // SplineView tables inline instead of the virtual interface; both must
+  // give the same values and slopes everywhere the kernels look - across
+  // the radial range (including knots and the cutoff) and the density
+  // range.
+  const FinnisSinclair fe(FinnisSinclairParams::iron());
+  const TabulatedEam tab = TabulatedEam::from_analytic(fe, 2000, 2000, 60.0);
+  const EamSplineTables* tables = tab.spline_tables();
+  ASSERT_NE(tables, nullptr);
+  ASSERT_TRUE(tables->valid());
+  auto expect_same = [](const SplineView& view, double x, double v_virtual,
+                        double d_virtual) {
+    double v, d;
+    view.evaluate(x, v, d);
+    EXPECT_NEAR(v, v_virtual, 1e-12 * std::max(1.0, std::abs(v_virtual)))
+        << "value at " << x;
+    EXPECT_NEAR(d, d_virtual, 1e-12 * std::max(1.0, std::abs(d_virtual)))
+        << "slope at " << x;
+  };
+  for (double r = 1.5; r < tab.cutoff(); r += 0.00731) {
+    double v, d;
+    tab.pair(r, v, d);
+    expect_same(tables->pair, r, v, d);
+    tab.density(r, v, d);
+    expect_same(tables->density, r, v, d);
+  }
+  for (double rho = 0.0; rho < 60.0; rho += 0.0917) {
+    double f, d;
+    tab.embed(rho, f, d);
+    expect_same(tables->embed, rho, f, d);
+  }
 }
 
 }  // namespace
