@@ -2,11 +2,10 @@
 //
 // Two instruments in one binary:
 //
-//  * build A/B (default): the ISSUE 5 neighbor pipeline (parallel
-//    counting-sort binning + half-stencil enumeration) against the legacy
-//    serial path (serial binning, full-stencil scan with the per-pair
-//    mode test), swept over thread counts. Writes sdcmd.bench.v1 rows
-//    via --metrics-out.
+//  * build sweep (default): the one-pass list build (parallel
+//    counting-sort binning, one enumeration pass into per-thread buffers,
+//    one compaction) for a half and a full list, swept over thread
+//    counts. Writes sdcmd.bench.v1 rows via --metrics-out.
 //  * steady-state drill (--jsonl-out): a deform run instrumented with the
 //    neighbor.* metrics. The strain rate is chosen so the grid reshapes
 //    at least once mid-run, proving update_box() adapts in place -
@@ -69,7 +68,7 @@ BuildTiming time_builds(const Box& box, std::span<const Vec3> positions,
   return t;
 }
 
-int run_build_ab(const CliParser& cli) {
+int run_build_sweep(const CliParser& cli) {
   const Scale scale = cli.get("scale").empty() ? scale_from_env()
                                                : parse_scale(cli.get("scale"));
   const std::string case_name = cli.get("case");
@@ -91,40 +90,43 @@ int run_build_ab(const CliParser& cli) {
   const Box box = spec.box();
   const auto positions = build_lattice(spec);
 
-  NeighborListConfig pipeline;
-  pipeline.cutoff = iron.cutoff();
-  pipeline.skin = 0.4;
-  NeighborListConfig legacy = pipeline;
-  legacy.half_stencil = false;
-  legacy.parallel_bin = false;
+  NeighborListConfig half;
+  half.cutoff = iron.cutoff();
+  half.skin = 0.4;
+  NeighborListConfig full = half;
+  full.mode = NeighborMode::Full;
 
-  obs::BenchReport report("neighbor_policy_build_ab");
+  obs::BenchReport report("neighbor_policy_build_sweep");
   report.set_context("case", it->name);
   report.set_context("atoms", positions.size());
   report.set_context("builds", builds);
   report.set_context("scale", to_string(scale));
   report.set_context("hardware_threads", hardware_threads());
 
-  std::printf("=== neighbor build A/B (case %s, %zu atoms, %d builds)\n",
+  std::printf("=== neighbor build sweep (case %s, %zu atoms, %d builds)\n",
               it->name.c_str(), positions.size(), builds);
   std::printf("running on %s\n\n", thread_summary().c_str());
 
-  AsciiTable table({"threads", "legacy build (s)", "pipeline build (s)",
-                    "speedup", "bin (s)", "count (s)", "fill (s)"});
+  AsciiTable table({"threads", "half build (s)", "full build (s)",
+                    "half speedup", "bin (s)", "enumerate (s)",
+                    "compact (s)"});
+  BuildTiming half_base, full_base;
   for (int t : threads) {
     set_threads(t);
-    const BuildTiming old_path = time_builds(box, positions, legacy, builds);
-    const BuildTiming new_path =
-        time_builds(box, positions, pipeline, builds);
-    const double speedup =
-        old_path.seconds_per_build / new_path.seconds_per_build;
-    table.add_row({std::to_string(t),
-                   AsciiTable::fmt(old_path.seconds_per_build, 5),
-                   AsciiTable::fmt(new_path.seconds_per_build, 5),
-                   AsciiTable::fmt(speedup, 2),
-                   AsciiTable::fmt(new_path.bin_seconds, 5),
-                   AsciiTable::fmt(new_path.count_seconds, 5),
-                   AsciiTable::fmt(new_path.fill_seconds, 5)});
+    const BuildTiming h = time_builds(box, positions, half, builds);
+    const BuildTiming f = time_builds(box, positions, full, builds);
+    if (half_base.seconds_per_build == 0.0) {
+      half_base = h;
+      full_base = f;
+    }
+    const double half_speedup = half_base.seconds_per_build /
+                                h.seconds_per_build;
+    table.add_row({std::to_string(t), AsciiTable::fmt(h.seconds_per_build, 5),
+                   AsciiTable::fmt(f.seconds_per_build, 5),
+                   AsciiTable::fmt(half_speedup, 2),
+                   AsciiTable::fmt(h.bin_seconds, 5),
+                   AsciiTable::fmt(h.count_seconds, 5),
+                   AsciiTable::fmt(h.fill_seconds, 5)});
     auto add_row = [&](const char* name, const BuildTiming& m, double s) {
       report.add_result({{"case", std::string(name)},
                          {"threads", t},
@@ -137,14 +139,16 @@ int run_build_ab(const CliParser& cli) {
                          {"speedup", s},
                          {"feasible", true}});
     };
-    add_row("legacy_build", old_path, 1.0);
-    add_row("pipeline_build", new_path, speedup);
+    add_row("half_build", h, half_speedup);
+    add_row("full_build", f,
+            full_base.seconds_per_build / f.seconds_per_build);
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(
-      "legacy = serial binning + full-stencil scan; pipeline = parallel\n"
-      "counting sort + half-stencil enumeration. Both store identical\n"
-      "pair sets (tier-1 tests compare them to brute force).\n\n");
+      "speedup is over the first thread count of the sweep. bin, enumerate\n"
+      "and compact split the half build (neighbor.bin/count/fill_seconds).\n"
+      "Both lists store the brute-force pair set (tier-1 tests compare\n"
+      "them).\n\n");
 
   const std::string metrics_out = cli.get("metrics-out");
   if (!metrics_out.empty()) {
@@ -294,8 +298,8 @@ int run_skin_study() {
 
 int main(int argc, char** argv) {
   CliParser cli("bench_neighbor_policy",
-                "neighbor build A/B (legacy vs pipeline), steady-state "
-                "deform drill, and the classic skin study");
+                "neighbor build thread sweep (half and full lists), "
+                "steady-state deform drill, and the classic skin study");
   cli.add_option("case", "medium", "small|medium|large3|large4");
   cli.add_option("scale", "", "tiny|laptop|desktop|paper (default: env)");
   cli.add_option("builds", "10", "timed list builds per configuration");
@@ -308,7 +312,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   if (cli.get_bool("skin-study")) return run_skin_study();
-  const int rc = run_build_ab(cli);
+  const int rc = run_build_sweep(cli);
   if (rc != 0) return rc;
   if (!cli.get("jsonl-out").empty()) return run_drill(cli);
   return 0;

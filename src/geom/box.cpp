@@ -11,6 +11,7 @@ Box::Box(const Vec3& lo, const Vec3& hi, std::array<bool, 3> periodic)
   for (int d = 0; d < 3; ++d) {
     SDCMD_REQUIRE(len_[d] > 0.0, "box must have positive extent");
   }
+  inv_len_ = {1.0 / len_.x, 1.0 / len_.y, 1.0 / len_.z};
 }
 
 Box Box::cubic(double edge) {
@@ -43,19 +44,6 @@ Vec3 Box::wrap(Vec3 r, std::array<int, 3>& image) const {
   return r;
 }
 
-Vec3 Box::minimum_image(const Vec3& ri, const Vec3& rj) const {
-  Vec3 dr = ri - rj;
-  for (int d = 0; d < 3; ++d) {
-    if (!periodic_[d]) continue;
-    dr[d] -= len_[d] * std::nearbyint(dr[d] / len_[d]);
-  }
-  return dr;
-}
-
-double Box::distance2(const Vec3& ri, const Vec3& rj) const {
-  return norm2(minimum_image(ri, rj));
-}
-
 bool Box::contains(const Vec3& r) const {
   for (int d = 0; d < 3; ++d) {
     if (r[d] < lo_[d] || r[d] >= hi_[d]) return false;
@@ -70,6 +58,7 @@ void Box::rescale(const Vec3& factor) {
   hi_ = {lo_.x + len_.x * factor.x, lo_.y + len_.y * factor.y,
          lo_.z + len_.z * factor.z};
   len_ = hi_ - lo_;
+  inv_len_ = {1.0 / len_.x, 1.0 / len_.y, 1.0 / len_.z};
 }
 
 Vec3 Box::affine_map(const Vec3& old_r, const Box& old_box) const {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 
 #include "common/vec3.hpp"
 
@@ -34,11 +35,25 @@ class Box {
   /// trajectories (diffusion analysis) can be reconstructed.
   Vec3 wrap(Vec3 r, std::array<int, 3>& image) const;
 
-  /// Minimum-image displacement r_i - r_j.
-  Vec3 minimum_image(const Vec3& ri, const Vec3& rj) const;
+  /// Minimum-image displacement r_i - r_j. Inline, and multiplying by the
+  /// reciprocal edge instead of dividing: every kernel row and list build
+  /// calls this once per pair. dr * (1/L) and dr / L differ by at most an
+  /// ulp, which moves the rounded image index only when dr / L sits on a
+  /// half-integer - a pair at half an edge. For every closer pair the
+  /// result is bitwise the division form dr - L * nearbyint(dr / L).
+  Vec3 minimum_image(const Vec3& ri, const Vec3& rj) const {
+    Vec3 dr = ri - rj;
+    for (int d = 0; d < 3; ++d) {
+      if (!periodic_[d]) continue;
+      dr[d] -= len_[d] * std::nearbyint(dr[d] * inv_len_[d]);
+    }
+    return dr;
+  }
 
   /// Squared minimum-image distance.
-  double distance2(const Vec3& ri, const Vec3& rj) const;
+  double distance2(const Vec3& ri, const Vec3& rj) const {
+    return norm2(minimum_image(ri, rj));
+  }
 
   /// True when `r` lies in [lo, hi) on every dimension.
   bool contains(const Vec3& r) const;
@@ -58,6 +73,7 @@ class Box {
   Vec3 lo_;
   Vec3 hi_;
   Vec3 len_;
+  Vec3 inv_len_;  ///< 1 / len_, kept current by the constructor and rescale
   std::array<bool, 3> periodic_;
 };
 

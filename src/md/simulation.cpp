@@ -74,16 +74,16 @@ void Simulation::rebuild_geometry() {
   nl.skin = skin_;
   nl.mode = provider_->required_mode();
   nl.sort_neighbors = config_.sort_neighbors;
-  nl.half_stencil = config_.half_stencil;
-  nl.parallel_bin = config_.parallel_bin;
   // SIMD backends (the EAM SoA fast path) ask for vector-width-padded
   // neighbor tiles; 0 skips the extra arrays. Part of config_compatible,
   // so toggling the fast path reconstructs the list.
   nl.pad_width = provider_->neighbor_pad_width();
+  bool reuse_list = false;
   if (list_ != nullptr && list_->config_compatible(nl)) {
     // Same list configuration, new box: adapt in place. Storage is reused
     // and the cell grid recomputes stencils only when its shape changes -
     // a steady-state barostat run performs zero heap reconstructions.
+    reuse_list = list_->built_from(system_.box(), system_.atoms().position);
     list_->update_box(system_.box());
   } else {
     // Configuration changed (first construction, skin backoff, governor
@@ -103,6 +103,15 @@ void Simulation::rebuild_geometry() {
   }
 
   provider_->attach_schedule(system_.box(), provider_->cutoff() + skin_);
+  if (reuse_list) {
+    // A build would reproduce the current list (wrapping and re-sorting
+    // settled positions change nothing): only re-partition the atoms for
+    // the freshly attached schedule.
+    provider_->on_neighbor_rebuild(system_.atoms().position);
+    steps_since_rebuild_ = 0;
+    forces_current_ = false;
+    return;
+  }
   rebuild_lists();
 }
 
@@ -224,9 +233,10 @@ void Simulation::init_governor() {
       system_.box(), provider_->cutoff() + skin_, max_threads(),
       system_.size());
   apply_governor_decision(decision);
-  // Rebuild unconditionally: the provider may have been constructed with a
-  // different strategy (e.g. Sdc) than the governor just selected, and a
-  // selected Sdc rung needs its schedule attached.
+  // The provider may have been constructed with a different strategy than
+  // the governor just selected, and a selected Sdc rung needs its schedule
+  // attached. The list the constructor built is kept when the selection
+  // left its configuration, the box and the positions unchanged.
   rebuild_geometry();
   if (!decision.reason.empty()) {
     SDCMD_DEBUG("governor: " << decision.reason);

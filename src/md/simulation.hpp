@@ -40,13 +40,6 @@ struct SimulationConfig {
   bool reorder_atoms = false;
   /// Sort each neighbor sublist ascending (paper Section II.D).
   bool sort_neighbors = true;
-  /// Half-mode neighbor lists enumerate via the half stencil (13 owned
-  /// cells + intra-cell j > i); false restores the legacy full-stencil
-  /// scan. See NeighborListConfig::half_stencil.
-  bool half_stencil = true;
-  /// Bin atoms with the parallel counting sort; false forces the serial
-  /// reference binning. See NeighborListConfig::parallel_bin.
-  bool parallel_bin = true;
 };
 
 /// Guardrails for unattended runs: periodic health checks plus a rolling
@@ -246,7 +239,10 @@ class Simulation {
 
  private:
   /// Recreate box-dependent machinery (neighbor list, SDC schedule) after
-  /// a box change, then rebuild.
+  /// a box change, then rebuild. A list whose configuration, box and
+  /// positions are unchanged since its last build keeps its rows: the
+  /// schedule is attached and the atoms re-partitioned without building
+  /// again (the governor's set-up after the constructor's build).
   void rebuild_geometry();
   /// Rebuild neighbor list + partition from current positions.
   void rebuild_lists();

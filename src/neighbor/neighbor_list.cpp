@@ -1,99 +1,172 @@
 #include "neighbor/neighbor_list.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <numbers>
+
+#include <omp.h>
 
 #include "common/error.hpp"
+#include "common/threads.hpp"
 #include "common/timer.hpp"
 
 namespace sdcmd {
 
+namespace {
+/// Entries every chunk buffer holds beyond its estimate, so a chunk of a
+/// few atoms does not overflow on one dense row.
+constexpr std::size_t kChunkSlack = 64;
+}  // namespace
+
 NeighborList::NeighborList(const Box& box, NeighborListConfig config)
     : box_(box),
       config_(config),
-      cells_(box, config.cutoff + config.skin) {
+      cells_(box, config.cutoff + config.skin),
+      built_box_(box) {
   SDCMD_REQUIRE(config.cutoff > 0.0, "cutoff must be positive");
   SDCMD_REQUIRE(config.skin >= 0.0, "skin must be non-negative");
   SDCMD_REQUIRE(config.pad_width >= 0, "pad width must be non-negative");
 }
 
-// Pair-enumeration cores, specialized per mode so the hot loops carry no
+// One row per atom, specialized per mode so the hot loop carries no
 // per-pair mode test:
-//   Half + half-stencil : intra-cell j > i, plus every atom of the <=13
-//                         owned (greater-flat-index) neighbor cells. Each
-//                         cross-cell pair is stored under the atom in the
-//                         lower-index cell; intra-cell pairs under min(i,j).
-//   Half + legacy       : full stencil scan, skip j <= i (every pair under
-//                         min(i, j) - the pre-pipeline behavior).
-//   Full                : full stencil scan, skip only j == i.
-
-template <NeighborMode Mode, bool HalfStencil>
-void NeighborList::count_pass(std::span<const Vec3> positions,
-                              double range2) {
-  const std::size_t n = positions.size();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t ci = cells_.binned_cell(i);
-    std::uint32_t count = 0;
-    if constexpr (Mode == NeighborMode::Half && HalfStencil) {
-      for (std::uint32_t j : cells_.atoms_in(ci)) {
-        if (j <= i) continue;
-        if (box_.distance2(positions[i], positions[j]) < range2) ++count;
-      }
-      for (std::size_t cj : cells_.half_stencil(ci)) {
-        for (std::uint32_t j : cells_.atoms_in(cj)) {
-          if (box_.distance2(positions[i], positions[j]) < range2) ++count;
-        }
-      }
-    } else {
-      for (std::size_t cj : cells_.stencil(ci)) {
-        for (std::uint32_t j : cells_.atoms_in(cj)) {
-          if (Mode == NeighborMode::Half ? (j <= i) : (j == i)) continue;
-          if (box_.distance2(positions[i], positions[j]) < range2) ++count;
-        }
+//   Half : intra-cell j > i, plus every atom of the <=13 owned
+//          (greater-flat-index) neighbor cells. Each cross-cell pair is
+//          stored under the atom in the lower-index cell; intra-cell pairs
+//          under min(i, j).
+//   Full : full stencil scan, skip only j == i.
+// Appends atom i's row to out[used, cap); false when it does not fit.
+template <NeighborMode Mode>
+bool NeighborList::append_row(std::size_t i, std::span<const Vec3> positions,
+                              double range2, std::uint32_t* out,
+                              std::size_t cap, std::size_t& used) const {
+  const Vec3 xi = positions[i];
+  const std::size_t ci = cells_.binned_cell(i);
+  auto keep = [&](std::uint32_t j) {
+    if (!(box_.distance2(xi, positions[j]) < range2)) return true;
+    if (used == cap) return false;
+    out[used++] = j;
+    return true;
+  };
+  if constexpr (Mode == NeighborMode::Half) {
+    for (std::uint32_t j : cells_.atoms_in(ci)) {
+      if (j > i && !keep(j)) return false;
+    }
+    for (std::size_t cj : cells_.half_stencil(ci)) {
+      for (std::uint32_t j : cells_.atoms_in(cj)) {
+        if (!keep(j)) return false;
       }
     }
-    neigh_len_[i] = count;
+  } else {
+    for (std::size_t cj : cells_.stencil(ci)) {
+      for (std::uint32_t j : cells_.atoms_in(cj)) {
+        if (j != i && !keep(j)) return false;
+      }
+    }
+  }
+  return true;
+}
+
+std::size_t NeighborList::chunk_begin(std::size_t c) const {
+  return std::min(c * chunk_atoms_, neigh_len_.size());
+}
+
+std::size_t NeighborList::chunk_end(std::size_t c) const {
+  return std::min(chunk_begin(c) + chunk_atoms_, neigh_len_.size());
+}
+
+void NeighborList::reserve_chunks(double per_atom) {
+  const auto count = static_cast<std::size_t>(std::max(1, max_threads()));
+  chunks_.resize(count);
+  chunk_atoms_ = (neigh_len_.size() + count - 1) / count;
+  for (std::size_t c = 0; c < count; ++c) {
+    ChunkScratch& chunk = chunks_[c];
+    chunk.used = 0;
+    chunk.next = chunk_begin(c);
+    const double atoms = static_cast<double>(chunk_end(c) - chunk.next);
+    const std::size_t want =
+        static_cast<std::size_t>(1.125 * per_atom * atoms) + kChunkSlack;
+    if (chunk.pairs.size() < want) chunk.pairs.resize(want);
   }
 }
 
-template <NeighborMode Mode, bool HalfStencil>
-void NeighborList::fill_pass(std::span<const Vec3> positions,
-                             double range2) {
-  const std::size_t n = positions.size();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t ci = cells_.binned_cell(i);
-    std::size_t cursor = neigh_index_[i];
-    if constexpr (Mode == NeighborMode::Half && HalfStencil) {
-      for (std::uint32_t j : cells_.atoms_in(ci)) {
-        if (j <= i) continue;
-        if (box_.distance2(positions[i], positions[j]) < range2) {
-          neigh_list_[cursor++] = j;
+template <NeighborMode Mode>
+bool NeighborList::enumerate_and_compact(std::span<const Vec3> positions,
+                                         double range2,
+                                         double& enumerated_at) {
+  const std::size_t n = neigh_len_.size();
+  const std::size_t count = chunks_.size();
+  bool complete = true;
+#pragma omp parallel
+  {
+    const auto t = static_cast<std::size_t>(thread_id());
+    const auto team = static_cast<std::size_t>(omp_get_num_threads());
+    // Enumerate: chunk c's rows go back to back into its own buffer. A
+    // full buffer stops the chunk before the row that did not fit; the
+    // caller grows it and the next pass resumes there.
+    for (std::size_t c = t; c < count; c += team) {
+      ChunkScratch& chunk = chunks_[c];
+      std::uint32_t* out = chunk.pairs.data();
+      const std::size_t cap = chunk.pairs.size();
+      const std::size_t end = chunk_end(c);
+      std::size_t i = chunk.next;
+      std::size_t used = chunk.used;
+      for (; i < end; ++i) {
+        const std::size_t row = used;
+        if (!append_row<Mode>(i, positions, range2, out, cap, used)) {
+          used = row;
+          break;
         }
+        if (config_.sort_neighbors) std::sort(out + row, out + used);
+        neigh_len_[i] = static_cast<std::uint32_t>(used - row);
       }
-      for (std::size_t cj : cells_.half_stencil(ci)) {
-        for (std::uint32_t j : cells_.atoms_in(cj)) {
-          if (box_.distance2(positions[i], positions[j]) < range2) {
-            neigh_list_[cursor++] = j;
-          }
+      chunk.next = i;
+      chunk.used = used;
+    }
+#pragma omp barrier
+#pragma omp master
+    {
+      enumerated_at = wall_time();
+      for (std::size_t c = 0; c < count; ++c) {
+        if (chunks_[c].next != chunk_end(c)) complete = false;
+      }
+      if (complete) {
+        neigh_index_[0] = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          neigh_index_[i + 1] = neigh_index_[i] + neigh_len_[i];
         }
-      }
-    } else {
-      for (std::size_t cj : cells_.stencil(ci)) {
-        for (std::uint32_t j : cells_.atoms_in(cj)) {
-          if (Mode == NeighborMode::Half ? (j <= i) : (j == i)) continue;
-          if (box_.distance2(positions[i], positions[j]) < range2) {
-            neigh_list_[cursor++] = j;
-          }
+        // Reserve with slack so steady-state rebuilds (pair counts drift
+        // by a few percent as atoms cross the skin) stay
+        // reallocation-free. With padded tiles enabled the worst case per
+        // atom is pad_width - 1 extra slots; fold that into the slack
+        // bound so the FIRST padded build (and every rebuild after it)
+        // sizes both arrays once.
+        const std::size_t needed = neigh_index_[n];
+        const std::size_t pad_slack =
+            config_.pad_width > 1
+                ? n * static_cast<std::size_t>(config_.pad_width - 1)
+                : 0;
+        if (neigh_list_.capacity() < needed) {
+          neigh_list_.reserve(needed + needed / 8);
+        }
+        neigh_list_.resize(needed);
+        if (config_.pad_width > 1 &&
+            padded_list_.capacity() < needed + pad_slack) {
+          padded_list_.reserve(needed + needed / 8 + pad_slack);
         }
       }
     }
-    if (config_.sort_neighbors) {
-      std::sort(
-          neigh_list_.begin() + static_cast<std::ptrdiff_t>(neigh_index_[i]),
-          neigh_list_.begin() + static_cast<std::ptrdiff_t>(cursor));
+#pragma omp barrier
+    // Compact: each chunk's rows land at its first atom's offset.
+    if (complete) {
+      for (std::size_t c = t; c < count; c += team) {
+        const ChunkScratch& chunk = chunks_[c];
+        std::copy_n(chunk.pairs.data(), chunk.used,
+                    neigh_list_.data() + neigh_index_[chunk_begin(c)]);
+      }
     }
   }
+  return complete;
 }
 
 void NeighborList::build(std::span<const Vec3> positions) {
@@ -102,59 +175,43 @@ void NeighborList::build(std::span<const Vec3> positions) {
   const double range2 = range * range;
 
   const double t0 = wall_time();
-  cells_.build(positions, config_.parallel_bin);
+  cells_.build(positions);
   const double t1 = wall_time();
 
-  // Pass 1: count neighbors per atom so the CSR arrays are exact-sized.
-  // Every slot is written by the pass (static schedule matching the fill
-  // pass and the kernels' sweep schedule), so growth is the only
-  // allocation and zero-fill is unnecessary.
+  // Entries per atom to reserve for: the last build's mean, or before the
+  // first build the count a uniform density puts within range.
+  const double per_atom =
+      !neigh_len_.empty()
+          ? static_cast<double>(neigh_list_.size()) /
+                static_cast<double>(neigh_len_.size())
+          : static_cast<double>(n) / box_.volume() * 4.0 / 3.0 *
+                std::numbers::pi * range * range2 *
+                (config_.mode == NeighborMode::Half ? 0.5 : 1.0);
+  // Every slot of neigh_len_ is written by the enumeration and of
+  // neigh_index_ by the prefix sum, so growth is the only allocation.
   neigh_len_.resize(n);
-  if (config_.mode == NeighborMode::Full) {
-    count_pass<NeighborMode::Full, false>(positions, range2);
-  } else if (config_.half_stencil) {
-    count_pass<NeighborMode::Half, true>(positions, range2);
-  } else {
-    count_pass<NeighborMode::Half, false>(positions, range2);
-  }
-
   neigh_index_.resize(n + 1);
-  neigh_index_[0] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    neigh_index_[i + 1] = neigh_index_[i] + neigh_len_[i];
-  }
-  // Reserve with slack so steady-state rebuilds (pair counts drift by a
-  // few percent as atoms cross the skin) stay reallocation-free. With
-  // padded tiles enabled the worst case per atom is pad_width - 1 extra
-  // slots; fold that into the slack bound so the FIRST padded build (and
-  // every rebuild after it) sizes both arrays once instead of letting the
-  // 12.5% CSR heuristic silently reallocate under the padded copy.
-  const std::size_t needed = neigh_index_[n];
-  const std::size_t pad_slack =
-      config_.pad_width > 1
-          ? n * static_cast<std::size_t>(config_.pad_width - 1)
-          : 0;
-  if (neigh_list_.capacity() < needed) {
-    neigh_list_.reserve(needed + needed / 8);
-  }
-  neigh_list_.resize(needed);
-  if (config_.pad_width > 1 &&
-      padded_list_.capacity() < needed + pad_slack) {
-    padded_list_.reserve(needed + needed / 8 + pad_slack);
-  }
-  const double t2 = wall_time();
+  reserve_chunks(per_atom);
 
-  // Pass 2: fill.
-  if (config_.mode == NeighborMode::Full) {
-    fill_pass<NeighborMode::Full, false>(positions, range2);
-  } else if (config_.half_stencil) {
-    fill_pass<NeighborMode::Half, true>(positions, range2);
-  } else {
-    fill_pass<NeighborMode::Half, false>(positions, range2);
+  double t2 = t1;
+  while (!(config_.mode == NeighborMode::Full
+               ? enumerate_and_compact<NeighborMode::Full>(positions, range2,
+                                                           t2)
+               : enumerate_and_compact<NeighborMode::Half>(positions, range2,
+                                                           t2))) {
+    // A chunk outgrew its estimate: double its buffer, keeping the rows
+    // already enumerated, and resume it where it stopped.
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+      ChunkScratch& chunk = chunks_[c];
+      if (chunk.next != chunk_end(c)) {
+        chunk.pairs.resize(2 * chunk.pairs.size() + kChunkSlack);
+      }
+    }
   }
   if (config_.pad_width > 1) build_padded_tiles();
 
   positions_at_build_.assign(positions.begin(), positions.end());
+  built_box_ = box_;
   const double t3 = wall_time();
 
   ++stats_.builds;
@@ -209,8 +266,6 @@ bool NeighborList::config_compatible(const NeighborListConfig& other) const {
   return other.cutoff == config_.cutoff && other.skin == config_.skin &&
          other.mode == config_.mode &&
          other.sort_neighbors == config_.sort_neighbors &&
-         other.half_stencil == config_.half_stencil &&
-         other.parallel_bin == config_.parallel_bin &&
          other.pad_width == config_.pad_width;
 }
 
@@ -237,13 +292,30 @@ double NeighborList::mean_neighbors() const {
   return config_.mode == NeighborMode::Half ? 2.0 * stored : stored;
 }
 
+bool NeighborList::built_from(const Box& box,
+                              std::span<const Vec3> positions) const {
+  return stats_.builds > 0 && box == built_box_ &&
+         positions.size() == positions_at_build_.size() &&
+         std::memcmp(positions.data(), positions_at_build_.data(),
+                     positions.size() * sizeof(Vec3)) == 0;
+}
+
+std::size_t NeighborList::scratch_bytes() const {
+  std::size_t bytes = 0;
+  for (const ChunkScratch& chunk : chunks_) {
+    bytes += chunk.pairs.size() * sizeof(std::uint32_t);
+  }
+  return bytes;
+}
+
 std::size_t NeighborList::memory_bytes() const {
   return neigh_index_.size() * sizeof(std::size_t) +
          neigh_len_.size() * sizeof(std::uint32_t) +
          neigh_list_.size() * sizeof(std::uint32_t) +
          tile_index_.size() * sizeof(std::size_t) +
          padded_list_.size() * sizeof(std::uint32_t) +
-         positions_at_build_.size() * sizeof(Vec3) + cells_.memory_bytes();
+         positions_at_build_.size() * sizeof(Vec3) + scratch_bytes() +
+         cells_.memory_bytes();
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> brute_force_pairs(

@@ -3,14 +3,18 @@
 // A *half* list stores each pair (i, j) exactly once: force and density
 // kernels then use Newton's third law and scatter symmetric contributions
 // to the other atom - exactly the irregular reduction the paper studies.
-// The default half-stencil build stores a pair under whichever atom's cell
-// owns the cell pair (intra-cell pairs under min(i, j)); the legacy build
-// (NeighborListConfig::half_stencil = false) scans the full 27-cell stencil
-// and stores every pair under min(i, j). Both enumerate the identical pair
-// set; kernels only rely on each pair appearing once.
+// The build walks each cell's half stencil, so a pair is stored under
+// whichever atom's cell owns the cell pair (intra-cell pairs under
+// min(i, j)); kernels only rely on each pair appearing once.
 // A *full* list stores the pair under both atoms; kernels become pure
 // gathers with no write conflicts at the price of doubled computation - the
 // paper's "Redundant Computations" baseline.
+//
+// One build is one pass over the candidate pairs: each thread enumerates a
+// contiguous chunk of atoms into its own scratch buffer, one prefix sum
+// over neigh_len gives neigh_index, and each thread copies its buffer into
+// neigh_list at its chunk's offset. Rows and their order do not depend on
+// the team size.
 //
 // The public arrays mirror the paper's pseudocode names:
 //   neigh_index[i] : offset of atom i's sublist   (the paper's neighindex)
@@ -37,14 +41,6 @@ struct NeighborListConfig {
   NeighborMode mode = NeighborMode::Half;
   bool sort_neighbors = false;  ///< ascending j within each sublist
                                 ///< (the paper's Section II.D reordering)
-  /// Half mode only: enumerate 13 owned neighbor cells plus intra-cell
-  /// j > i, which hoists the per-pair mode test out of the hot loops.
-  /// false restores the legacy full-stencil scan (every pair under
-  /// min(i, j)) - kept for A/B benches and regression tests.
-  bool half_stencil = true;
-  /// Bin atoms with the parallel counting sort (per-thread histograms +
-  /// prefix sum); false forces the serial reference binning.
-  bool parallel_bin = true;
   /// > 1: every build() also emits vector-width-padded neighbor tiles
   /// (tile_index()/padded_list()): each atom's sublist rounded up to a
   /// multiple of pad_width, out-of-range slots filled with the sentinel
@@ -60,9 +56,11 @@ struct NeighborBuildStats {
   std::size_t builds = 0;           ///< build() calls
   std::size_t grid_reshapes = 0;    ///< update_box() calls that reshaped
   std::size_t stencil_rebuilds = 0; ///< initial build + one per reshape
-  double bin_seconds = 0.0;         ///< cell binning (cumulative)
-  double count_seconds = 0.0;       ///< CSR count pass (cumulative)
-  double fill_seconds = 0.0;        ///< CSR fill + optional sort (cumulative)
+  double bin_seconds = 0.0;    ///< cell binning (cumulative)
+  double count_seconds = 0.0;  ///< enumeration pass, rows sorted when asked
+                               ///< (cumulative)
+  double fill_seconds = 0.0;   ///< compaction into the CSR arrays, padded
+                               ///< tiles and staleness snapshot (cumulative)
   double last_bin_seconds = 0.0;
   double last_count_seconds = 0.0;
   double last_fill_seconds = 0.0;
@@ -139,18 +137,45 @@ class NeighborList {
   /// configuration (bcc Fe at the FS cutoff: ~14; tests assert this).
   double mean_neighbors() const;
 
-  /// Resident bytes of the CSR arrays, the staleness snapshot AND the
-  /// embedded cell grid (the obs-layer memory gauge).
+  /// Resident bytes of the CSR arrays, the staleness snapshot, the build
+  /// scratch AND the embedded cell grid (the obs-layer memory gauge).
   std::size_t memory_bytes() const;
+
+  /// Bytes of the per-thread enumeration buffers kept between builds.
+  std::size_t scratch_bytes() const;
+
+  /// True when the last build() saw exactly `box` and `positions` (bitwise),
+  /// so building again would reproduce the current list.
+  bool built_from(const Box& box, std::span<const Vec3> positions) const;
 
   /// Build-phase timings and storage-reuse counters.
   const NeighborBuildStats& stats() const { return stats_; }
 
  private:
-  template <NeighborMode Mode, bool HalfStencil>
-  void count_pass(std::span<const Vec3> positions, double range2);
-  template <NeighborMode Mode, bool HalfStencil>
-  void fill_pass(std::span<const Vec3> positions, double range2);
+  /// One chunk's enumeration buffer: the rows of atoms
+  /// [chunk_begin, next) back to back in pairs[0, used).
+  struct ChunkScratch {
+    std::vector<std::uint32_t> pairs;
+    std::size_t used = 0;
+    std::size_t next = 0;
+  };
+
+  std::size_t chunk_begin(std::size_t c) const;
+  std::size_t chunk_end(std::size_t c) const;
+  /// Split the atoms into one chunk per thread slot and size each chunk's
+  /// buffer for `per_atom` entries per atom plus slack (never shrinks).
+  void reserve_chunks(double per_atom);
+  template <NeighborMode Mode>
+  bool append_row(std::size_t i, std::span<const Vec3> positions,
+                  double range2, std::uint32_t* out, std::size_t cap,
+                  std::size_t& used) const;
+  /// One parallel region: enumerate every unfinished chunk, stamp
+  /// `enumerated_at`, then (master) the prefix sum, then the compaction.
+  /// False when a chunk's buffer filled up; the CSR arrays are then left
+  /// for the next pass.
+  template <NeighborMode Mode>
+  bool enumerate_and_compact(std::span<const Vec3> positions, double range2,
+                             double& enumerated_at);
 
   void build_padded_tiles();
 
@@ -163,6 +188,12 @@ class NeighborList {
   std::vector<std::size_t> tile_index_;     ///< pad_width > 1 only
   std::vector<std::uint32_t> padded_list_;  ///< pad_width > 1 only
   std::vector<Vec3> positions_at_build_;
+  Box built_box_;  ///< box_ as of the last build()
+  // Build scratch, one buffer per thread slot. Only the calling thread
+  // sizes it (before the parallel region): an OpenMP worker that allocates
+  // opens a malloc arena of its own and keeps it for the process lifetime.
+  std::vector<ChunkScratch> chunks_;
+  std::size_t chunk_atoms_ = 0;  ///< atoms per chunk in the current build
   NeighborBuildStats stats_;
 };
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "common/error.hpp"
+#include "common/random.hpp"
 
 namespace sdcmd {
 namespace {
@@ -100,6 +105,73 @@ TEST(Box, OffsetOriginWrap) {
   const Vec3 w = box.wrap({6.0, -6.0, 0.0});
   EXPECT_NEAR(w.x, -4.0, 1e-12);
   EXPECT_NEAR(w.y, 4.0, 1e-12);
+}
+
+/// The division form the inline minimum image replaced.
+Vec3 division_minimum_image(const Box& box, const Vec3& ri, const Vec3& rj) {
+  Vec3 dr = ri - rj;
+  for (int d = 0; d < 3; ++d) {
+    if (!box.periodic(d)) continue;
+    dr[d] -= box.length(d) * std::nearbyint(dr[d] / box.length(d));
+  }
+  return dr;
+}
+
+/// Random pairs inside `box` closer than half the shortest edge (by the
+/// division form); each must give bitwise the division form's result.
+void expect_matches_division_form(const Box& box, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const double half_edge =
+      0.5 * std::min({box.length(0), box.length(1), box.length(2)});
+  int checked = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    Vec3 ri, rj;
+    for (int d = 0; d < 3; ++d) {
+      ri[d] = rng.uniform(box.lo()[d], box.hi()[d]);
+      rj[d] = rng.uniform(box.lo()[d], box.hi()[d]);
+    }
+    const Vec3 want = division_minimum_image(box, ri, rj);
+    if (!(norm2(want) < half_edge * half_edge)) continue;
+    const Vec3 got = box.minimum_image(ri, rj);
+    for (int d = 0; d < 3; ++d) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[d]),
+                std::bit_cast<std::uint64_t>(want[d]))
+          << "dim " << d << " of pair " << trial;
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(box.distance2(ri, rj)),
+              std::bit_cast<std::uint64_t>(norm2(want)));
+    ++checked;
+  }
+  EXPECT_GT(checked, 1000);
+}
+
+TEST(Box, InlineMinimumImageIsBitwiseTheDivisionForm) {
+  expect_matches_division_form(Box::cubic(28.7), 1);
+  expect_matches_division_form(Box({0, 0, 0}, {17.3, 23.9, 31.1}), 2);
+  expect_matches_division_form(
+      Box({-11.7, 3.2, -40.05}, {9.1, 27.7, -12.6}), 3);
+  expect_matches_division_form(
+      Box({-5.0, 0.0, 2.5}, {19.4, 21.1, 30.0}, {true, false, true}), 4);
+  expect_matches_division_form(
+      Box({0, 0, 0}, {14.2, 14.2, 26.0}, {false, true, false}), 5);
+}
+
+TEST(Box, InlineMinimumImageFollowsRescale) {
+  // rescale must refresh the reciprocal edges the inline form multiplies
+  // by: a stale reciprocal picks the wrong image after a large strain.
+  Box box({-3.0, 0.0, 1.0}, {21.0, 18.0, 31.0}, {true, true, false});
+  expect_matches_division_form(box, 6);
+  box.rescale({1.37, 0.81, 1.12});
+  expect_matches_division_form(box, 7);
+  box.rescale({0.66, 1.29, 1.0});
+  expect_matches_division_form(box, 8);
+  // A pair 0.4 of the new 20 A x edge apart is its own minimum image; the
+  // stale reciprocal of the old 10 A edge would read it as 0.8 of an edge
+  // and flip it to the far image.
+  Box wide = Box::cubic(10.0);
+  wide.rescale({2.0, 1.0, 1.0});
+  const Vec3 d = wide.minimum_image({8.5, 0, 0}, {0.5, 0, 0});
+  EXPECT_DOUBLE_EQ(d.x, 8.0);
 }
 
 }  // namespace

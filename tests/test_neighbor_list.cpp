@@ -4,13 +4,71 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <set>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
+#include "common/threads.hpp"
 #include "common/units.hpp"
 #include "geom/lattice.hpp"
+
+namespace sdcmd {
+namespace {
+
+// Allocation probe for BuildAllocatesOnlyOnTheCallingThread: while armed,
+// the replaced global operator new below counts allocations made on any
+// thread but the one that armed it.
+std::atomic<bool> g_probe_armed{false};
+std::atomic<int> g_foreign_allocations{0};
+std::thread::id g_probe_owner;
+
+void arm_allocation_probe() {
+  g_foreign_allocations = 0;
+  g_probe_owner = std::this_thread::get_id();
+  g_probe_armed.store(true, std::memory_order_release);
+}
+
+int disarm_allocation_probe() {
+  g_probe_armed.store(false, std::memory_order_release);
+  return g_foreign_allocations.load();
+}
+
+void note_allocation() {
+  if (g_probe_armed.load(std::memory_order_acquire) &&
+      std::this_thread::get_id() != g_probe_owner) {
+    ++g_foreign_allocations;
+  }
+}
+
+}  // namespace
+}  // namespace sdcmd
+
+// Replaces the allocation function every container goes through. The
+// matching deletes are replaced too: a sanitizer's own operator delete
+// rejects memory this operator new took from malloc.
+void* operator new(std::size_t size) {
+  sdcmd::note_allocation();
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+// GCC reads free() in a replaced operator delete as a mismatch with
+// operator new; the operator new above allocates with malloc.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace sdcmd {
 namespace {
@@ -45,10 +103,9 @@ std::set<Pair> pair_set(
   return {pairs.begin(), pairs.end()};
 }
 
-// Exact pair-for-pair comparison against the O(N^2) reference for every
-// enumeration path: the default half-stencil build, the legacy
-// full-stencil half build, and Full mode (whose stored entries, folded to
-// unordered pairs, must halve to the same set).
+// Exact pair-for-pair comparison against the O(N^2) reference for both
+// modes: the half list, and the full list (whose stored entries, folded
+// to unordered pairs, must halve to the same set).
 void expect_all_paths_match_brute_force(const Box& box,
                                         std::span<const Vec3> points,
                                         double cutoff) {
@@ -61,14 +118,7 @@ void expect_all_paths_match_brute_force(const Box& box,
   NeighborList half(box, cfg);
   half.build(points);
   EXPECT_EQ(half.pair_count(), expected.size());
-  EXPECT_EQ(pairs_from_half_list(half), expected) << "half-stencil path";
-
-  NeighborListConfig legacy_cfg = cfg;
-  legacy_cfg.half_stencil = false;
-  NeighborList legacy(box, legacy_cfg);
-  legacy.build(points);
-  EXPECT_EQ(legacy.pair_count(), expected.size());
-  EXPECT_EQ(pairs_from_half_list(legacy), expected) << "legacy half path";
+  EXPECT_EQ(pairs_from_half_list(half), expected) << "half list";
 
   NeighborListConfig full_cfg = cfg;
   full_cfg.mode = NeighborMode::Full;
@@ -114,27 +164,6 @@ TEST(NeighborList, HalfListStoresEachPairOnce) {
       EXPECT_TRUE(seen.insert({std::min(a, j), std::max(a, j)}).second)
           << "pair {" << std::min(a, j) << "," << std::max(a, j)
           << "} stored twice";
-    }
-  }
-}
-
-TEST(NeighborList, LegacyHalfPathStoresUnderMinIndex) {
-  // The pre-pipeline enumeration (full stencil, skip j <= i) is kept
-  // behind half_stencil = false and must still store every pair under the
-  // smaller atom index.
-  const Box box = Box::cubic(13.0);
-  const auto points = random_points(box, 200, 5);
-  NeighborListConfig cfg;
-  cfg.cutoff = 3.2;
-  cfg.half_stencil = false;
-  NeighborList list(box, cfg);
-  list.build(points);
-
-  std::set<Pair> seen;
-  for (std::size_t i = 0; i < list.atom_count(); ++i) {
-    for (std::uint32_t j : list.neighbors(i)) {
-      EXPECT_GT(j, i) << "legacy half list must store j > i";
-      EXPECT_TRUE(seen.insert({static_cast<std::uint32_t>(i), j}).second);
     }
   }
 }
@@ -343,14 +372,18 @@ TEST(NeighborList, MemoryAccountingIncludesEveryComponent) {
   NeighborList list(box, cfg);
   list.build(points);
   // The gauge must equal the sum of the CSR arrays, the staleness
-  // snapshot and the embedded CellList (once under-reported as zero).
+  // snapshot, the build scratch and the embedded CellList (once
+  // under-reported as zero).
   const std::size_t expected =
       list.neigh_index().size() * sizeof(std::size_t) +
       list.neigh_len().size() * sizeof(std::uint32_t) +
       list.neigh_list().size() * sizeof(std::uint32_t) +
-      points.size() * sizeof(Vec3) + list.cells().memory_bytes();
+      points.size() * sizeof(Vec3) + list.scratch_bytes() +
+      list.cells().memory_bytes();
   EXPECT_EQ(list.memory_bytes(), expected);
   EXPECT_GT(list.cells().memory_bytes(), 0u);
+  // The scratch holds every row between builds.
+  EXPECT_GE(list.scratch_bytes(), list.pair_count() * sizeof(std::uint32_t));
   EXPECT_GT(list.memory_bytes(),
             list.pair_count() * sizeof(std::uint32_t));
 }
@@ -493,8 +526,137 @@ TEST(NeighborList, ConfigCompatibilityGatesInPlaceReuse) {
   other.mode = NeighborMode::Full;
   EXPECT_FALSE(list.config_compatible(other));
   other = cfg;
-  other.half_stencil = false;
+  other.sort_neighbors = true;
   EXPECT_FALSE(list.config_compatible(other));
+  other = cfg;
+  other.pad_width = 8;
+  EXPECT_FALSE(list.config_compatible(other));
+}
+
+/// Restores the OpenMP team size a test changed.
+struct ThreadCountGuard {
+  int saved = max_threads();
+  ~ThreadCountGuard() { set_threads(saved); }
+};
+
+/// Every array a build writes, copied for bitwise comparison.
+struct ListArrays {
+  std::vector<std::size_t> index;
+  std::vector<std::uint32_t> len;
+  std::vector<std::uint32_t> list;
+  std::vector<std::size_t> tile_index;
+  std::vector<std::uint32_t> padded;
+
+  explicit ListArrays(const NeighborList& l)
+      : index(l.neigh_index()),
+        len(l.neigh_len()),
+        list(l.neigh_list()),
+        tile_index(l.tile_index()),
+        padded(l.padded_list()) {}
+  friend bool operator==(const ListArrays&, const ListArrays&) = default;
+};
+
+/// Half, full, sorted and padded lists at the default skin.
+std::vector<NeighborListConfig> team_size_configs() {
+  NeighborListConfig half;
+  half.cutoff = 3.0;
+  NeighborListConfig full = half;
+  full.mode = NeighborMode::Full;
+  NeighborListConfig sorted = half;
+  sorted.sort_neighbors = true;
+  NeighborListConfig padded_full = full;
+  padded_full.sort_neighbors = true;
+  padded_full.pad_width = 8;
+  NeighborListConfig padded_half = half;
+  padded_half.pad_width = 4;
+  return {half, full, sorted, padded_full, padded_half};
+}
+
+TEST(NeighborList, RowsAreBitwiseIdenticalForTeamSizesOneToFour) {
+  // Each thread enumerates its own chunk of atoms, so the chunking changes
+  // with the team size; the CSR arrays and padded tiles must not.
+  ThreadCountGuard guard;
+  const Box box = Box::cubic(22.0);
+  const auto points = random_points(box, 3000, 404);
+  for (const NeighborListConfig& cfg : team_size_configs()) {
+    set_threads(1);
+    NeighborList reference(box, cfg);
+    reference.build(points);
+    const ListArrays expected(reference);
+    ASSERT_GT(reference.pair_count(), 0u);
+    for (int team = 2; team <= 4; ++team) {
+      set_threads(team);
+      NeighborList list(box, cfg);
+      list.build(points);
+      EXPECT_TRUE(ListArrays(list) == expected)
+          << "team " << team << ", mode "
+          << (cfg.mode == NeighborMode::Half ? "half" : "full")
+          << ", sorted " << cfg.sort_neighbors << ", pad " << cfg.pad_width;
+    }
+  }
+}
+
+TEST(NeighborList, RowsStayIdenticalAcrossGrowingAndShrinkingRebuilds) {
+  // A rebuild on a denser configuration outgrows the scratch the previous
+  // build sized; one back on the sparse configuration shrinks the list.
+  // Both must reproduce a fresh single-thread build exactly.
+  ThreadCountGuard guard;
+  const Box box = Box::cubic(22.0);
+  const auto sparse = random_points(box, 3000, 405);
+  std::vector<Vec3> dense = sparse;
+  for (Vec3& r : dense) r = r * 0.6;  // ~4.6x the density in 0.6^3 of it
+  for (const NeighborListConfig& cfg : team_size_configs()) {
+    set_threads(1);
+    NeighborList fresh_sparse(box, cfg), fresh_dense(box, cfg);
+    fresh_sparse.build(sparse);
+    fresh_dense.build(dense);
+    const ListArrays expect_sparse(fresh_sparse), expect_dense(fresh_dense);
+    for (int team = 1; team <= 4; ++team) {
+      set_threads(team);
+      NeighborList list(box, cfg);
+      list.build(sparse);
+      const std::size_t scratch = list.scratch_bytes();
+      list.build(dense);
+      EXPECT_GT(list.pair_count() * sizeof(std::uint32_t), scratch)
+          << "the dense rebuild must outgrow the sparse build's scratch";
+      EXPECT_TRUE(ListArrays(list) == expect_dense) << "grow, team " << team;
+      list.build(sparse);
+      EXPECT_TRUE(ListArrays(list) == expect_sparse)
+          << "shrink, team " << team;
+    }
+  }
+}
+
+TEST(NeighborList, BuildAllocatesOnlyOnTheCallingThread) {
+  // A malloc on an OpenMP worker opens a glibc arena that the process keeps
+  // for good, so every buffer a build uses is sized by the calling thread -
+  // the first build and a rebuild that outgrows its scratch included.
+  ThreadCountGuard guard;
+  set_threads(4);
+  // The probe itself must see a worker's allocation.
+  std::vector<std::unique_ptr<int>> slots(4);
+  arm_allocation_probe();
+#pragma omp parallel num_threads(4)
+  {
+    const int t = thread_id();
+    slots[static_cast<std::size_t>(t)] = std::make_unique<int>(t);
+  }
+  EXPECT_GT(disarm_allocation_probe(), 0) << "probe missed worker allocations";
+
+  const Box box = Box::cubic(22.0);
+  const auto sparse = random_points(box, 3000, 406);
+  std::vector<Vec3> dense = sparse;
+  for (Vec3& r : dense) r = r * 0.6;
+  for (const NeighborListConfig& cfg : team_size_configs()) {
+    NeighborList list(box, cfg);
+    arm_allocation_probe();
+    list.build(sparse);
+    list.build(dense);
+    list.build(sparse);
+    EXPECT_EQ(disarm_allocation_probe(), 0)
+        << "mode " << (cfg.mode == NeighborMode::Half ? "half" : "full")
+        << ", sorted " << cfg.sort_neighbors << ", pad " << cfg.pad_width;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // governor.box_shrink fault drill.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -430,6 +432,57 @@ TEST_F(GovernorTest, GovernorStateSurvivesCheckpointRestart) {
   EXPECT_EQ(restarted.governor()->required_streak(),
             sim.governor()->required_streak());
   EXPECT_NO_THROW(restarted.run(5));
+}
+
+void expect_forces_bitwise_equal(const Simulation& a, const Simulation& b) {
+  const Atoms& x = a.system().atoms();
+  const Atoms& y = b.system().atoms();
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    for (int d = 0; d < 3; ++d) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(x.force[i][d]),
+                std::bit_cast<std::uint64_t>(y.force[i][d]))
+          << "atom " << i << " dim " << d;
+    }
+  }
+}
+
+TEST_F(GovernorTest, SetupAndResumeBuildTheListOnce) {
+  // The constructor builds the list. The governor's setup attaches its
+  // rung's schedule to that list instead of building it again on the same
+  // positions - whether it keeps the constructed strategy or swaps to
+  // another half-list rung - and a resume does the same.
+  SimulationConfig serial_cfg = sdc_config();
+  serial_cfg.force.strategy = ReductionStrategy::Serial;
+  for (const SimulationConfig& cfg : {sdc_config(), serial_cfg}) {
+    Simulation sim(make_system(kCells), iron(), cfg);
+    sim.set_temperature(300.0, 9);
+    sim.set_governor(GovernorConfig{});
+    ASSERT_EQ(sim.governor()->active(), ReductionStrategy::Sdc);
+    EXPECT_EQ(sim.neighbor_stats().builds, 1u);
+    EXPECT_EQ(sim.rebuild_count(), 1u);
+
+    // Forces are bitwise those of a Simulation built on SDC directly.
+    Simulation direct(make_system(kCells), iron(), sdc_config());
+    direct.set_temperature(300.0, 9);
+    sim.compute_forces();
+    direct.compute_forces();
+    expect_forces_bitwise_equal(sim, direct);
+    sim.run(1);
+    direct.run(1);
+    expect_forces_bitwise_equal(sim, direct);
+
+    Simulation resumed(sim.system(), iron(), sdc_config());
+    resumed.set_governor(GovernorConfig{}, sim.governor()->state());
+    EXPECT_EQ(resumed.neighbor_stats().builds, 1u);
+    EXPECT_EQ(resumed.governor()->active(), ReductionStrategy::Sdc);
+  }
+
+  // Moved positions are a different list: setup builds again.
+  Simulation moved(make_system(kCells), iron(), sdc_config());
+  moved.system().atoms().position[0].x += 0.05;
+  moved.set_governor(GovernorConfig{});
+  EXPECT_EQ(moved.neighbor_stats().builds, 2u);
 }
 
 TEST_F(GovernorTest, RunStateRoundTripRestoresDemotedRungAndBackoff) {
