@@ -11,8 +11,6 @@
 //    at least once mid-run, proving update_box() adapts in place -
 //    neighbor.reconstructions stays at the single construction while
 //    neighbor.grid_reshapes ticks.
-//
-// --skin-study restores the classic Verlet-vs-cell-direct skin table.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -25,8 +23,6 @@
 #include "common/threads.hpp"
 #include "common/timer.hpp"
 #include "common/units.hpp"
-#include "core/cell_direct.hpp"
-#include "core/eam_force.hpp"
 #include "geom/lattice.hpp"
 #include "md/deform.hpp"
 #include "md/simulation.hpp"
@@ -223,83 +219,12 @@ int run_drill(const CliParser& cli) {
   return 0;
 }
 
-int run_skin_study() {
-  const Scale scale = scale_from_env();
-  const int steps = std::max(2, steps_from_env());
-  const TestCase test_case = paper_cases(scale)[1];  // medium
-  FinnisSinclair iron(FinnisSinclairParams::iron());
-
-  LatticeSpec spec = test_case.lattice();
-  const Box box = spec.box();
-  const auto positions = build_lattice(spec);
-  const std::size_t n = positions.size();
-  std::vector<double> rho(n), fp(n);
-  std::vector<Vec3> force(n);
-
-  std::printf("=== neighbor policy study (case %s, %zu atoms)\n\n",
-              test_case.name.c_str(), n);
-
-  // Cell-direct per step.
-  eam_cell_direct(box, positions, iron, rho, fp, force);  // warmup
-  Stopwatch direct_watch;
-  direct_watch.start();
-  for (int s = 0; s < steps; ++s) {
-    eam_cell_direct(box, positions, iron, rho, fp, force);
-  }
-  const double direct_step = direct_watch.stop() / steps;
-
-  AsciiTable table({"skin (A)", "list build (s)", "force step (s)",
-                    "pairs stored", "break-even rebuild interval"});
-  for (double skin : {0.0, 0.2, 0.4, 0.8}) {
-    NeighborListConfig nl;
-    nl.cutoff = iron.cutoff();
-    nl.skin = skin;
-    NeighborList list(box, nl);
-
-    Stopwatch build_watch;
-    build_watch.start();
-    list.build(positions);
-    const double build = build_watch.stop();
-
-    EamForceConfig cfg;
-    cfg.strategy = ReductionStrategy::Serial;
-    EamForceComputer computer(iron, cfg);
-    computer.compute(box, positions, list, rho, fp, force);  // warmup
-    Stopwatch step_watch;
-    step_watch.start();
-    for (int s = 0; s < steps; ++s) {
-      computer.compute(box, positions, list, rho, fp, force);
-    }
-    const double list_step = step_watch.stop() / steps;
-
-    // Lists win once the per-step saving amortizes one build:
-    //   k * (direct - list_step) > build  =>  k > build / saving.
-    std::string break_even = "never";
-    if (direct_step > list_step) {
-      break_even = AsciiTable::fmt(build / (direct_step - list_step), 1) +
-                   " steps";
-    }
-    table.add_row({AsciiTable::fmt(skin, 1), AsciiTable::fmt(build, 4),
-                   AsciiTable::fmt(list_step, 4),
-                   std::to_string(list.pair_count()), break_even});
-  }
-
-  std::printf("cell-direct force step: %.4f s (no build cost)\n\n",
-              direct_step);
-  std::printf("%s\n", table.render().c_str());
-  std::printf(
-      "reading: with a 0.4 A skin a list survives ~10-50 steps of 300 K\n"
-      "dynamics, far beyond the break-even interval - the paper's (and\n"
-      "every production MD code's) Verlet-list pipeline is justified.\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli("bench_neighbor_policy",
-                "neighbor build thread sweep (half and full lists), "
-                "steady-state deform drill, and the classic skin study");
+                "neighbor build thread sweep (half and full lists) and "
+                "steady-state deform drill");
   cli.add_option("case", "medium", "small|medium|large3|large4");
   cli.add_option("scale", "", "tiny|laptop|desktop|paper (default: env)");
   cli.add_option("builds", "10", "timed list builds per configuration");
@@ -308,10 +233,8 @@ int main(int argc, char** argv) {
   cli.add_option("jsonl-out", "",
                  "run the deform drill, write step metrics JSONL here");
   cli.add_option("drill-steps", "60", "deform steps for the drill");
-  cli.add_flag("skin-study", "run the Verlet-vs-cell-direct skin table");
   if (!cli.parse(argc, argv)) return 1;
 
-  if (cli.get_bool("skin-study")) return run_skin_study();
   const int rc = run_build_sweep(cli);
   if (rc != 0) return rc;
   if (!cli.get("jsonl-out").empty()) return run_drill(cli);

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
 
     std::optional<ResumePoint> resume;
     if (cli.get_bool("resume")) {
-      resume = dir.try_resume();
+      resume = dir.try_resume_provable();
       if (!resume) {
         std::printf("sdcmd-run: nothing to resume in %s; starting fresh\n",
                     dir.path().c_str());

@@ -19,9 +19,19 @@ operator would after a node crash:
 
 A final un-killed run must reach the target step with exit code 0.
 
+``--window-drill`` replaces the kills with a deterministic drill of one
+crash window: RunDir::commit renames the checkpoint, then run_state.json,
+then MANIFEST, so a kill between the last two leaves a sidecar that proves
+a generation the MANIFEST does not list. The drill builds that state by
+rewriting MANIFEST without its newest entry, as the previous commit left
+it, and the next resume must take the proven generation and print its
+continuity line.
+
 Usage (from the build tree):
   python3 scripts/chaos_resume.py --binary build/examples/sdcmd-run \
       --cycles 3 --steps 1200 --rng-seed 7
+  python3 scripts/chaos_resume.py --binary build/examples/sdcmd-run \
+      --window-drill --cells 4 --checkpoint-every 20
 
 Exit code 0 = drill passed; 1 = an invariant failed.
 """
@@ -160,11 +170,11 @@ def audit(run_dir: str, keep: int, prev_best: int, cycle: str) -> int:
     return best
 
 
-def launch(args, resume: bool):
+def launch(args, resume: bool, steps: int = None):
     cmd = [
         args.binary,
         "--run-dir", args.run_dir,
-        "--steps", str(args.steps),
+        "--steps", str(args.steps if steps is None else steps),
         "--cells", str(args.cells),
         "--keep", str(args.keep),
         "--checkpoint-every", str(args.checkpoint_every),
@@ -189,6 +199,51 @@ def check_resume_output(out: str, cycle: str) -> None:
     note(f"[{cycle}] energy continuity rel={rel:g}")
 
 
+def run_to(args, steps: int, resume: bool, tag: str) -> str:
+    """Run sdcmd-run to `steps` without a kill; return its output."""
+    proc = launch(args, resume, steps)
+    out = proc.communicate()[0]
+    if proc.returncode != 0:
+        fail(f"[{tag}] exited rc={proc.returncode}:\n{out}")
+    return out
+
+
+def drop_manifest_head(run_dir: str) -> int:
+    """Rewrite MANIFEST without its newest entry; return that entry's step."""
+    path = os.path.join(run_dir, "MANIFEST")
+    with open(path, "rb") as f:
+        text = f.read()
+    lines = text[: text.rfind(b"checksum fnv1a64 ")].decode().splitlines()
+    head = lines.pop(1)  # lines[0] is the header
+    body = ("\n".join(lines) + "\n").encode()
+    with open(path, "wb") as f:
+        f.write(body + b"checksum fnv1a64 %016x\n" % fnv1a64(body))
+    return int(head.split()[1])
+
+
+def window_drill(args) -> None:
+    """Resume across a crash between the sidecar and MANIFEST renames."""
+    every = args.checkpoint_every
+    run_to(args, every, False, "window: first generation")
+    out = run_to(args, 2 * every, True, "window: second generation")
+    check_resume_output(out, "window: second generation")
+    # The second generation's checkpoint and sidecar are on disk; take it
+    # back out of the MANIFEST, as if the kill landed before that rename.
+    dropped = drop_manifest_head(args.run_dir)
+    if dropped != 2 * every:
+        fail(f"[window] MANIFEST head was step {dropped}, expected {2 * every}")
+    out = run_to(args, 3 * every, True, "window: resume")
+    m = RESUMED_RE.search(out)
+    if not (m and int(m.group(1)) == 2 * every):
+        fail(f"[window: resume] did not resume the proven step {2 * every}:\n{out}")
+    check_resume_output(out, "window: resume")
+    best = audit(args.run_dir, args.keep, 2 * every, "window: final")
+    if best != 3 * every:
+        fail(f"[window: final] ring head is step {best}, expected {3 * every}")
+    note(f"PASS: resumed the proven step {2 * every} across the "
+         f"sidecar/MANIFEST window")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--binary", required=True, help="path to sdcmd-run")
@@ -202,6 +257,8 @@ def main() -> None:
     ap.add_argument("--rng-seed", type=int, default=7, help="kill-timing seed")
     ap.add_argument("--min-delay", type=float, default=0.3)
     ap.add_argument("--max-delay", type=float, default=1.5)
+    ap.add_argument("--window-drill", action="store_true",
+                    help="drill the sidecar/MANIFEST commit window instead of kills")
     args = ap.parse_args()
 
     if not (os.path.isfile(args.binary) and os.access(args.binary, os.X_OK)):
@@ -211,6 +268,12 @@ def main() -> None:
     if args.run_dir is None:
         cleanup = tempfile.mkdtemp(prefix="chaos_resume.")
         args.run_dir = os.path.join(cleanup, "run.d")
+
+    if args.window_drill:
+        window_drill(args)
+        if cleanup:
+            shutil.rmtree(cleanup, ignore_errors=True)
+        return
 
     rng = random.Random(args.rng_seed)
     prev_best = -1

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "core/detail/skeleton.hpp"
 
 namespace sdcmd {
 
@@ -52,9 +53,17 @@ void PerAtomStress::compute(const Box& box, std::span<const Vec3> positions,
   const std::size_t n = positions.size();
   SDCMD_REQUIRE(list.mode() == NeighborMode::Half,
                 "per-atom stress needs a half neighbor list");
+  SDCMD_REQUIRE(list.atom_count() == n, "neighbor list is stale");
+  SDCMD_REQUIRE(list.cutoff() >= potential_.cutoff(),
+                "neighbor list cutoff shorter than the potential range");
   SDCMD_REQUIRE(fp.size() == n, "fp array must match the atom count");
   SDCMD_REQUIRE(velocities.empty() || velocities.size() == n,
                 "velocities must be empty or match the atom count");
+  const bool sdc = schedule != nullptr && schedule->built();
+  if (sdc) {
+    SDCMD_REQUIRE(schedule->partition().atom_count() == n,
+                  "SDC schedule is stale");
+  }
 
   out.assign(n, StressTensor{});
   const double cutoff = potential_.cutoff();
@@ -78,24 +87,14 @@ void PerAtomStress::compute(const Box& box, std::span<const Vec3> positions,
     }
   };
 
-  if (schedule != nullptr && schedule->built()) {
-    const Partition& part = schedule->partition();
-    SDCMD_REQUIRE(part.atom_count() == n, "SDC schedule is stale");
-    const int colors = part.color_count();
-#pragma omp parallel
-    {
-      for (int c = 0; c < colors; ++c) {
-#pragma omp for schedule(static)
-        for (std::size_t slot = part.color_begin(c);
-             slot < part.color_end(c); ++slot) {
-          for (std::uint32_t i : part.atoms_in_slot(slot)) {
-            atom_body(i);
-          }
-        }
-      }
+  // The skeleton's SDC color sweep, or its static sweep in a team of one.
+#pragma omp parallel if (sdc)
+  {
+    if (sdc) {
+      detail::color_sweep(schedule->partition(), nullptr, 0, atom_body);
+    } else {
+      detail::sweep(n, nullptr, 0, atom_body);
     }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) atom_body(i);
   }
 
   // Kinetic part and volume normalization. Per-atom volume V/N; stress is

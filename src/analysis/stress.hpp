@@ -10,7 +10,8 @@
 // virial exactly, which the test suite asserts against the force engine.
 //
 // The scatter to j makes this the same irregular-reduction shape as the
-// force loop, so the parallel path reuses the SDC color sweep.
+// force loop, so its pair row runs on the kernel skeleton's SDC color
+// sweep (core/detail/skeleton.hpp).
 #pragma once
 
 #include <array>
@@ -37,14 +38,15 @@ struct StressTensor {
 
 class PerAtomStress {
  public:
-  /// Serial computation. The caller provides the fp = dF/drho values from
-  /// a prior EamForceComputer::compute (phase 2 output).
+  /// The caller provides the fp = dF/drho values from a prior
+  /// EamForceComputer::compute (phase 2 output).
   explicit PerAtomStress(const EamPotential& potential);
 
   /// Compute per-atom stress tensors (eV/A^3, tension negative) into
-  /// `out` (resized). Half neighbor list required. When `schedule` is
-  /// non-null and built, the scatter runs SDC-parallel; otherwise serial.
-  /// Velocities may be empty to skip the kinetic term.
+  /// `out` (resized). Needs a half neighbor list built for these atoms
+  /// and covering the potential cutoff. When `schedule` is non-null and
+  /// built, the scatter runs SDC-parallel; otherwise serial. Velocities
+  /// may be empty to skip the kinetic term.
   void compute(const Box& box, std::span<const Vec3> positions,
                std::span<const Vec3> velocities, double mass,
                const NeighborList& list, std::span<const double> fp,

@@ -94,8 +94,8 @@ class RunDir {
   /// generation the sidecar DOES describe: losing at most one checkpoint
   /// cadence of progress buys a resume whose energy continuity can be
   /// proven. Falls back to the plain (degraded) resume when the sidecar's
-  /// generation has left the ring. The session server resumes through
-  /// this so every fleet restart carries a continuity proof.
+  /// generation has left the ring. sdcmd-run and the session server
+  /// resume through this so every restart carries a continuity proof.
   std::optional<ResumePoint> try_resume_provable() const;
 
   /// Absolute path of a ring basename.

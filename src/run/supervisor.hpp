@@ -21,7 +21,7 @@
 //  * an optional max-wall budget checkpoints and returns
 //    RunOutcome::WallClockExpired in time for a scheduler's grace period.
 //
-// Resume is RunDir::try_resume() + Simulation::set_current_step() +
+// Resume is RunDir::try_resume_provable() + Simulation::set_current_step() +
 // set_governor(config, saved_state); the sdcmd-run driver
 // (examples/sdcmd_run.cpp) shows the full wiring and
 // scripts/chaos_resume.py kill-tests it. See docs/robustness.md.

@@ -62,7 +62,6 @@
 
 // the core contribution: SDC schedules, strategy engines, validation
 #include "core/alloy_force.hpp"
-#include "core/cell_direct.hpp"
 #include "core/colored_reduction.hpp"
 #include "core/eam_force.hpp"
 #include "core/lock_pool.hpp"

@@ -240,14 +240,27 @@ TEST(AlloyForce, ForceMatchesEnergyGradient) {
 TEST(AlloyForce, RejectsBadInput) {
   const auto alloy = fecu();
   AlloyWorkload w(alloy, 8, 0.2);
+  std::vector<double> rho(w.positions.size()), fp(w.positions.size());
+  std::vector<Vec3> force(w.positions.size());
   AlloyForceConfig cfg;
-  cfg.strategy = ReductionStrategy::Critical;
-  EXPECT_THROW(AlloyForceComputer(alloy, cfg), PreconditionError);
+  cfg.strategy = ReductionStrategy::RedundantComputation;
+  AlloyForceComputer gather(alloy, cfg);
+  EXPECT_THROW(gather.compute(w.box, w.positions, w.types, *w.list, rho, fp,
+                              force),
+               PreconditionError)
+      << "RC gathers over a full list; a half list must be refused";
 
   cfg.strategy = ReductionStrategy::Serial;
   AlloyForceComputer computer(alloy, cfg);
-  std::vector<double> rho(w.positions.size()), fp(w.positions.size());
-  std::vector<Vec3> force(w.positions.size());
+  NeighborListConfig short_cfg;
+  short_cfg.cutoff = alloy.cutoff() - 1.0;
+  short_cfg.skin = 0.3;  // range still below the cutoff: pairs would drop
+  NeighborList short_list(w.box, short_cfg);
+  short_list.build(w.positions);
+  EXPECT_THROW(computer.compute(w.box, w.positions, w.types, short_list, rho,
+                                fp, force),
+               PreconditionError);
+
   w.types[0] = 7;  // out of range
   EXPECT_THROW(computer.compute(w.box, w.positions, w.types, *w.list, rho,
                                 fp, force),

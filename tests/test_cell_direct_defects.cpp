@@ -1,4 +1,4 @@
-// Cell-direct EAM path vs the Verlet-list kernels, plus defect generators.
+// Defect generators.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,19 +7,11 @@
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "common/units.hpp"
-#include "core/cell_direct.hpp"
-#include "core/eam_force.hpp"
 #include "geom/defects.hpp"
 #include "geom/lattice.hpp"
-#include "potential/finnis_sinclair.hpp"
 
 namespace sdcmd {
 namespace {
-
-const FinnisSinclair& iron() {
-  static FinnisSinclair fe{FinnisSinclairParams::iron()};
-  return fe;
-}
 
 struct Crystal {
   Box box = Box::cubic(1.0);
@@ -40,64 +32,6 @@ struct Crystal {
     }
   }
 };
-
-TEST(CellDirect, MatchesVerletListKernels) {
-  Crystal c(5);  // 5 cells of a0 -> 4 grid cells per dim at the cutoff
-  const std::size_t n = c.positions.size();
-
-  std::vector<double> rho_direct(n), fp_direct(n);
-  std::vector<Vec3> force_direct(n);
-  const auto direct = eam_cell_direct(c.box, c.positions, iron(),
-                                      rho_direct, fp_direct, force_direct);
-
-  NeighborListConfig nl;
-  nl.cutoff = iron().cutoff();
-  nl.skin = 0.0;  // same interaction set as the cell-direct sweep
-  NeighborList list(c.box, nl);
-  list.build(c.positions);
-  EamForceConfig cfg;
-  cfg.strategy = ReductionStrategy::Serial;
-  EamForceComputer computer(iron(), cfg);
-  std::vector<double> rho_list(n), fp_list(n);
-  std::vector<Vec3> force_list(n);
-  const auto listed = computer.compute(c.box, c.positions, list, rho_list,
-                                       fp_list, force_list);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(rho_direct[i], rho_list[i],
-                1e-10 * std::max(1.0, rho_list[i]))
-        << "atom " << i;
-    EXPECT_NEAR(norm(force_direct[i] - force_list[i]), 0.0, 1e-9)
-        << "atom " << i;
-  }
-  EXPECT_NEAR(direct.pair_energy, listed.pair_energy,
-              1e-9 * std::abs(listed.pair_energy));
-  EXPECT_NEAR(direct.embedding_energy, listed.embedding_energy,
-              1e-9 * std::abs(listed.embedding_energy));
-  EXPECT_NEAR(direct.virial, listed.virial,
-              1e-8 * std::max(1.0, std::abs(listed.virial)));
-}
-
-TEST(CellDirect, RejectsTooNarrowGrids) {
-  Crystal c(2, 0.0);  // 5.7 A box: fewer than 3 cells per dim
-  std::vector<double> rho(c.positions.size()), fp(c.positions.size());
-  std::vector<Vec3> force(c.positions.size());
-  EXPECT_THROW(
-      eam_cell_direct(c.box, c.positions, iron(), rho, fp, force),
-      PreconditionError);
-}
-
-TEST(CellDirect, TotalForceVanishes) {
-  Crystal c(5);
-  std::vector<double> rho(c.positions.size()), fp(c.positions.size());
-  std::vector<Vec3> force(c.positions.size());
-  eam_cell_direct(c.box, c.positions, iron(), rho, fp, force);
-  Vec3 total{};
-  for (const auto& f : force) total += f;
-  EXPECT_NEAR(norm(total), 0.0, 1e-9);
-}
-
-// ---------------------------------------------------------------------------
 
 TEST(Defects, VacanciesRemoveTheRightCount) {
   Crystal c(4, 0.0);

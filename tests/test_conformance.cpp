@@ -12,10 +12,14 @@
 //  * SDC is bitwise repeatable across calls.
 //  * Pair backend: every strategy must reproduce its own Serial strategy
 //    to the same tolerances.
+//  * Alloy backend: Johnson-mixed Fe-Cu, about a fifth of the sites Cu;
+//    every strategy must reproduce the alloy's own Serial strategy to the
+//    EAM tolerances, and SDC is bitwise repeatable.
 //
 // Workloads: jittered bcc iron, a carved spherical void, a slab with free
 // z surfaces, and a box deformed across a neighbor cell-count boundary
-// (the list adapts through update_box rather than reconstruction). A case
+// (the list adapts through update_box rather than reconstruction). The
+// alloy's longer range takes larger boxes of the same four shapes. A case
 // is skipped only where the strategy's own feasibility probe rejects the
 // box.
 #include <gtest/gtest.h>
@@ -30,13 +34,16 @@
 #include "common/random.hpp"
 #include "common/threads.hpp"
 #include "common/units.hpp"
+#include "core/alloy_force.hpp"
 #include "core/cell_task_schedule.hpp"
 #include "core/eam_force.hpp"
 #include "core/pair_force.hpp"
 #include "core/sdc_schedule.hpp"
 #include "geom/defects.hpp"
 #include "geom/lattice.hpp"
+#include "potential/alloy.hpp"
 #include "potential/finnis_sinclair.hpp"
+#include "potential/johnson.hpp"
 #include "potential/lennard_jones.hpp"
 #include "potential/tabulated.hpp"
 
@@ -65,6 +72,21 @@ int resolve_threads(int t) { return t > 0 ? t : hardware_threads(); }
 std::string threads_name(int t) {
   return t > 0 ? std::to_string(t) + "t" : std::string("hw");
 }
+
+/// Box sizes of the four shapes, in bcc cells: the smallest that keep 2-D
+/// SDC feasible at a backend's interaction range.
+struct ShapeCells {
+  int bulk;        ///< cube edge
+  int void_cube;   ///< cube edge before the sphere is carved out
+  int slab;        ///< film x and y (the film is 4 cells thick)
+  int deformed;    ///< cube edge before compression
+  double squeeze;  ///< compression that drops the neighbor grid by a cell
+};
+
+/// Finnis-Sinclair iron and the pair potential: range 3.97 A.
+constexpr ShapeCells kFsCells{6, 7, 6, 7, 0.95};
+/// The Fe-Cu alloy: range 5.35 A (the Cu cutoff 4.95 A plus the skin).
+constexpr ShapeCells kAlloyCells{8, 9, 8, 10, 0.92};
 
 /// Atoms and box of one workload. `list_box` is the box the neighbor list
 /// is constructed for; it differs from `box` only for Shape::Deformed,
@@ -95,20 +117,22 @@ void jitter(std::vector<Vec3>& positions, const Box& box,
   }
 }
 
-Geometry make_geometry(Shape shape) {
+Geometry make_geometry(Shape shape, const ShapeCells& cells) {
   const double a = units::kLatticeFe;
   switch (shape) {
     case Shape::Bulk: {
-      // 6 cells: the smallest cube that fits two 2-D SDC subdomains.
-      const Box box = Box::cubic(6 * a);
-      Geometry g{box, box, bcc(6, 6, 6)};
+      // The smallest cube that fits two 2-D SDC subdomains.
+      const int c = cells.bulk;
+      const Box box = Box::cubic(c * a);
+      Geometry g{box, box, bcc(c, c, c)};
       jitter(g.positions, box, 7);
       return g;
     }
     case Shape::Void: {
       // Uneven per-subdomain and per-block populations.
-      const Box box = Box::cubic(7 * a);
-      Geometry g{box, box, bcc(7, 7, 7)};
+      const int c = cells.void_cube;
+      const Box box = Box::cubic(c * a);
+      Geometry g{box, box, bcc(c, c, c)};
       jitter(g.positions, box, 11);
       const Vec3 center = 0.5 * (box.lo() + box.hi());
       carve_sphere(g.positions, box, center, 0.3 * box.length(0));
@@ -118,20 +142,22 @@ Geometry make_geometry(Shape shape) {
       // Periodic in x and y; z is free, with the film floating between
       // two vacuum gaps, so atoms near either face have truncated shells.
       const double gap = 4.0;
-      const Box box({0.0, 0.0, 0.0}, {6 * a, 6 * a, 4 * a + 2 * gap},
+      const int c = cells.slab;
+      const Box box({0.0, 0.0, 0.0}, {c * a, c * a, 4 * a + 2 * gap},
                     {true, true, false});
-      Geometry g{box, box, bcc(6, 6, 4)};
+      Geometry g{box, box, bcc(c, c, 4)};
       for (auto& r : g.positions) r.z += gap;
       jitter(g.positions, box, 13);
       return g;
     }
     case Shape::Deformed: {
-      // A 7-cell cube compressed by 5 %: the neighbor grid drops from 5 to
-      // 4 cells per axis while 2-D SDC stays feasible.
-      const double scale = 0.95;
-      const Box original = Box::cubic(7 * a);
-      const Box box = Box::cubic(7 * a * scale);
-      Geometry g{box, original, bcc(7, 7, 7)};
+      // The compression drops the neighbor grid from 5 to 4 cells per
+      // axis while 2-D SDC stays feasible.
+      const int c = cells.deformed;
+      const double scale = cells.squeeze;
+      const Box original = Box::cubic(c * a);
+      const Box box = Box::cubic(c * a * scale);
+      Geometry g{box, original, bcc(c, c, c)};
       for (auto& r : g.positions) r = scale * r;
       jitter(g.positions, box, 17);
       return g;
@@ -206,15 +232,21 @@ const EamPotential& eam_potential(Pot p) {
   return tabulated;
 }
 
-struct EamOut {
+/// Outputs of one three-phase (EAM or alloy) force call.
+template <class Result>
+struct PhaseOut {
   std::vector<double> rho, fp;
   std::vector<Vec3> force;
-  EamForceResult result;
+  Result result;
 
-  explicit EamOut(std::size_t n) : rho(n), fp(n), force(n) {}
+  explicit PhaseOut(std::size_t n) : rho(n), fp(n), force(n) {}
 };
+using EamOut = PhaseOut<EamForceResult>;
+using AlloyOut = PhaseOut<AlloyForceResult>;
 
-void expect_eam_match(const EamOut& ref, const EamOut& got) {
+template <class Result>
+void expect_eam_match(const PhaseOut<Result>& ref,
+                      const PhaseOut<Result>& got) {
   ASSERT_EQ(ref.rho.size(), got.rho.size());
   for (std::size_t i = 0; i < ref.rho.size(); ++i) {
     EXPECT_NEAR(ref.rho[i], got.rho[i], kTol) << "rho, atom " << i;
@@ -227,7 +259,8 @@ void expect_eam_match(const EamOut& ref, const EamOut& got) {
   expect_close_rel(ref.result.virial, got.result.virial, "virial");
 }
 
-void expect_bitwise(const EamOut& a, const EamOut& b) {
+template <class Result>
+void expect_bitwise(const PhaseOut<Result>& a, const PhaseOut<Result>& b) {
   for (std::size_t i = 0; i < a.rho.size(); ++i) {
     EXPECT_EQ(a.rho[i], b.rho[i]) << "rho, atom " << i;
     EXPECT_EQ(a.force[i].x, b.force[i].x) << "force.x, atom " << i;
@@ -245,7 +278,7 @@ class EamConformance : public ::testing::TestWithParam<EamParam> {};
 
 TEST_P(EamConformance, MatchesSerialReference) {
   const auto [strategy, threads, shape, pot_kind] = GetParam();
-  const Geometry g = make_geometry(shape);
+  const Geometry g = make_geometry(shape, kFsCells);
   const EamPotential& pot = eam_potential(pot_kind);
   const double range = pot.cutoff() + kSkin;
   if (!feasible(strategy, g.box, range)) {
@@ -332,11 +365,18 @@ PairOut run_pair(ReductionStrategy strategy, const Geometry& g) {
 
 using PairParam = std::tuple<ReductionStrategy, int, Shape>;
 
+/// Case name in a (strategy, threads, shape) matrix, e.g. "sdc_2t_void".
+std::string matrix_name(const ::testing::TestParamInfo<PairParam>& info) {
+  const PairParam& p = info.param;
+  return to_string(std::get<0>(p)) + "_" + threads_name(std::get<1>(p)) +
+         "_" + shape_name(std::get<2>(p));
+}
+
 class PairConformance : public ::testing::TestWithParam<PairParam> {};
 
 TEST_P(PairConformance, MatchesSerialStrategy) {
   const auto [strategy, threads, shape] = GetParam();
-  const Geometry g = make_geometry(shape);
+  const Geometry g = make_geometry(shape, kFsCells);
   if (!feasible(strategy, g.box, pair_potential().cutoff() + kSkin)) {
     GTEST_SKIP() << to_string(strategy) << " infeasible for this box";
   }
@@ -354,11 +394,95 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 0),
                        ::testing::Values(Shape::Bulk, Shape::Void,
                                          Shape::Slab, Shape::Deformed)),
-    [](const ::testing::TestParamInfo<PairParam>& param_info) {
-      const PairParam& p = param_info.param;
-      return to_string(std::get<0>(p)) + "_" + threads_name(std::get<1>(p)) +
-             "_" + shape_name(std::get<2>(p));
-    });
+    matrix_name);
+
+// -------------------------------------------------------------- alloy
+
+const AlloyEamPotential& alloy_potential() {
+  static const FinnisSinclair fe(FinnisSinclairParams::iron());
+  static const JohnsonEam cu(JohnsonParams::copper());
+  static const JohnsonMixedAlloy fecu(
+      {{&fe, units::kMassFe, "Fe"}, {&cu, 63.546, "Cu"}});
+  return fecu;
+}
+
+/// Species of each site: about a fifth Cu (1), the rest Fe (0).
+std::vector<std::uint8_t> alloy_types(std::size_t n) {
+  Xoshiro256 rng(19);
+  std::vector<std::uint8_t> types(n, 0);
+  for (auto& t : types) {
+    if (rng.uniform() < 0.2) t = 1;
+  }
+  return types;
+}
+
+/// One alloy computer with its schedule and list built for one workload.
+struct AlloyRun {
+  AlloyForceComputer computer;
+  std::unique_ptr<NeighborList> list;
+
+  AlloyRun(ReductionStrategy strategy, const Geometry& g)
+      : computer(alloy_potential(), AlloyForceConfig{strategy, SdcConfig{}}),
+        list(make_list(g, alloy_potential().cutoff(),
+                       required_mode(strategy), 0)) {
+    computer.attach_schedule(g.box, alloy_potential().cutoff() + kSkin);
+    computer.on_neighbor_rebuild(g.positions);
+  }
+
+  AlloyOut compute(const Geometry& g,
+                   const std::vector<std::uint8_t>& types) {
+    AlloyOut out(g.positions.size());
+    out.result = computer.compute(g.box, g.positions, types, *list, out.rho,
+                                  out.fp, out.force);
+    return out;
+  }
+};
+
+class AlloyConformance : public ::testing::TestWithParam<PairParam> {};
+
+TEST_P(AlloyConformance, MatchesSerialStrategy) {
+  const auto [strategy, threads, shape] = GetParam();
+  const Geometry g = make_geometry(shape, kAlloyCells);
+  if (!feasible(strategy, g.box, alloy_potential().cutoff() + kSkin)) {
+    GTEST_SKIP() << to_string(strategy) << " infeasible for this box";
+  }
+  const auto types = alloy_types(g.positions.size());
+  const AlloyOut ref = AlloyRun(ReductionStrategy::Serial, g).compute(g, types);
+  const ThreadScope scope(resolve_threads(threads));
+  AlloyRun run(strategy, g);
+  const AlloyOut got = run.compute(g, types);
+  expect_eam_match(ref, got);
+  if (strategy == ReductionStrategy::Sdc) {
+    expect_bitwise(got, run.compute(g, types));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, AlloyConformance,
+    ::testing::Combine(::testing::ValuesIn(kAllStrategies),
+                       ::testing::Values(1, 2, 0),
+                       ::testing::Values(Shape::Bulk, Shape::Void,
+                                         Shape::Slab, Shape::Deformed)),
+    matrix_name);
+
+// The per-thread energy partials are summed in thread order, so a fixed
+// team reproduces every bit of every call. 15 cells split into 4 x 4
+// subdomains: each color has 4 slots, so every thread of the team sweeps
+// rows and carries a nonzero partial (the 8-cell bulk has one slot per
+// color).
+TEST(AlloyRepeatability, SdcIsBitwiseAcrossAHundredCallsAtFourThreads) {
+  const Box box = Box::cubic(15 * units::kLatticeFe);
+  Geometry g{box, box, bcc(15, 15, 15)};
+  jitter(g.positions, box, 7);
+  const auto types = alloy_types(g.positions.size());
+  const ThreadScope scope(4);
+  AlloyRun run(ReductionStrategy::Sdc, g);
+  const AlloyOut first = run.compute(g, types);
+  for (int call = 1; call < 100; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    expect_bitwise(first, run.compute(g, types));
+  }
+}
 
 }  // namespace
 }  // namespace sdcmd
