@@ -10,7 +10,14 @@ operator would after a node crash:
     here in pure Python, footer checksum) or is absent/torn -- torn is
     tolerated exactly when a directory scan still yields a loadable ring
     (that is the supervisor's own fallback contract);
-  * every ring checkpoint carries a valid fnv1a64 footer;
+  * the ring matches what RunDir::commit can leave behind: it renames the
+    checkpoint, then run_state.json, then prunes, then renames MANIFEST,
+    so at most one checksum-valid generation newer than the MANIFEST head
+    is unlisted, at most the oldest listed entry is already pruned, and at
+    most keep+1 checkpoints exist;
+  * every ring checkpoint verifies on its own: a v3 file has exactly the
+    length its header implies (header + 64 bytes per atom + footer) and a
+    valid fnv1a64 footer; a v2 file has a valid footer;
   * the newest resumable step never moves backwards across cycles;
   * at most one stray ``*.tmp`` file exists (the one write the kill
     interrupted -- never an accumulation);
@@ -24,14 +31,23 @@ crash window: RunDir::commit renames the checkpoint, then run_state.json,
 then MANIFEST, so a kill between the last two leaves a sidecar that proves
 a generation the MANIFEST does not list. The drill builds that state by
 rewriting MANIFEST without its newest entry, as the previous commit left
-it, and the next resume must take the proven generation and print its
-continuity line.
+it. The audit must accept that state and reject two states no commit can
+leave (two unlisted generations; a missing entry that is not the oldest),
+the verifier must reject a v3 file with a truncated array, and the next
+resume must take the proven generation, print its continuity line, and
+not call the newer sidecar stale.
+
+``--legacy-ring DIR`` resumes a copy of a ring an older build wrote
+(tests/data/v2_ring holds checkpoint format v2), commits v3 generations
+on top, and resumes the mixed ring, each time with continuity <= 1e-8.
 
 Usage (from the build tree):
   python3 scripts/chaos_resume.py --binary build/examples/sdcmd-run \
       --cycles 3 --steps 1200 --rng-seed 7
   python3 scripts/chaos_resume.py --binary build/examples/sdcmd-run \
       --window-drill --cells 4 --checkpoint-every 20
+  python3 scripts/chaos_resume.py --binary build/examples/sdcmd-run \
+      --legacy-ring tests/data/v2_ring --cells 4 --checkpoint-every 20
 
 Exit code 0 = drill passed; 1 = an invariant failed.
 """
@@ -55,6 +71,15 @@ CKPT_RE = re.compile(r"^ckpt_(\d{10})\.chk$")
 CONTINUITY_RE = re.compile(r"resume energy continuity rel=([0-9.eE+-]+)")
 RESUMED_RE = re.compile(r"resumed at step (\d+)")
 
+FOOTER_TAG = b"checksum fnv1a64 "
+FOOTER_SIZE = len(FOOTER_TAG) + 16 + 1
+V3_LAYOUT = b"soa-le:id-u32,position-3f64,velocity-3f64,image-3i32"
+V3_BYTES_PER_ATOM = 4 + 3 * 8 + 3 * 8 + 3 * 4
+
+
+class DrillFailure(Exception):
+    """An invariant failed; main() reports it and exits 1."""
+
 
 def fnv1a64(data: bytes) -> int:
     h = FNV_OFFSET
@@ -64,54 +89,112 @@ def fnv1a64(data: bytes) -> int:
 
 
 def fail(msg: str) -> None:
-    print(f"chaos_resume: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+    raise DrillFailure(msg)
 
 
 def note(msg: str) -> None:
     print(f"chaos_resume: {msg}", flush=True)
 
 
-def verify_checkpoint(path: str) -> int:
-    """Verify a checkpoint file's checksum footer; return its step."""
-    with open(path, "rb") as f:
-        text = f.read()
-    footer_at = text.rfind(b"checksum fnv1a64 ")
-    if footer_at < 0:
-        fail(f"{path}: no checksum footer")
-    payload = text[:footer_at]
-    declared = int(text[footer_at:].split()[2], 16)
-    actual = fnv1a64(payload)
+def checkpoint_name(step: int) -> str:
+    return f"ckpt_{step:010d}.chk"
+
+
+def check_footer(data: bytes, footer_at: int) -> None:
+    """Raise ValueError unless data[footer_at:] is a footer over the rest."""
+    footer = data[footer_at:]
+    hex_digits = footer[len(FOOTER_TAG):].strip()
+    if not footer.startswith(FOOTER_TAG) or len(hex_digits) != 16:
+        raise ValueError(f"no checksum footer at byte {footer_at}")
+    declared = int(hex_digits, 16)
+    actual = fnv1a64(data[:footer_at])
     if actual != declared:
-        fail(f"{path}: checksum mismatch ({actual:016x} != {declared:016x})")
-    for line in payload.splitlines():
-        if line.startswith(b"step "):
-            return int(line.split()[1])
-    fail(f"{path}: no step record")
+        raise ValueError(f"checksum mismatch ({actual:016x} != {declared:016x})")
+
+
+def checkpoint_step(data: bytes) -> tuple:
+    """(version, step) of a v2 or v3 checkpoint; ValueError unless it verifies.
+
+    Independent of the C++ loader: v3 must have exactly the length its
+    header implies (five header lines, 64 bytes per atom, footer) and a
+    footer at that offset; v2 must end in a footer over every byte before it.
+    """
+    first = data.split(b"\n", 1)[0]
+    if first == b"sdcmd-checkpoint 3":
+        lines = data.split(b"\n", 5)
+        if len(lines) < 6:
+            raise ValueError("truncated v3 header")
+        header_size = sum(len(line) + 1 for line in lines[:5])
+        atoms = lines[4].split(b" ")
+        if len(atoms) != 3 or atoms[0] != b"atoms" or not atoms[1].isdigit():
+            raise ValueError(f"bad atoms line {lines[4][:80]!r}")
+        if atoms[2] != V3_LAYOUT:
+            raise ValueError(f"unknown array layout {atoms[2][:80]!r}")
+        count = int(atoms[1])
+        payload = header_size + count * V3_BYTES_PER_ATOM
+        if len(data) != payload + FOOTER_SIZE or not data.endswith(b"\n"):
+            raise ValueError(
+                f"{len(data)} bytes, but {count} atoms make "
+                f"{payload + FOOTER_SIZE} (truncated or padded array?)")
+        check_footer(data, payload)
+        step = lines[1].split(b" ")
+    elif first == b"sdcmd-checkpoint 2":
+        footer_at = data.rfind(FOOTER_TAG)
+        if footer_at < 0:
+            raise ValueError("no checksum footer")
+        check_footer(data, footer_at)
+        step = next((line.split() for line in data[:footer_at].splitlines()
+                     if line.startswith(b"step ")), [])
+    else:
+        raise ValueError(f"unsupported header {first[:40]!r}")
+    if len(step) != 2 or step[0] != b"step":
+        raise ValueError("no step record")
+    return int(first.split()[1]), int(step[1])
+
+
+def verify_checkpoint(path: str) -> int:
+    """Verify a checkpoint file on its own; return its step."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return checkpoint_step(data)[1]
+    except ValueError as e:
+        fail(f"{path}: {e}")
     return -1  # unreachable
+
+
+def expect_rejected(data: bytes, what: str) -> None:
+    try:
+        checkpoint_step(data)
+    except ValueError as e:
+        note(f"verifier rejects {what}: {e}")
+        return
+    fail(f"verifier accepted {what}")
 
 
 def verify_manifest(run_dir: str) -> list:
     """Verify MANIFEST integrity; return its ring as [(step, file)].
 
-    Returns None when the MANIFEST is absent or torn (tolerated; the
-    caller then requires the directory-scan fallback to work instead).
+    Every listed file that exists must match its entry's checksum; whether
+    a missing one is allowed is audit()'s call. Returns None when the
+    MANIFEST is absent or torn (tolerated; the caller then requires the
+    directory-scan fallback to work instead).
     """
     path = os.path.join(run_dir, "MANIFEST")
     if not os.path.exists(path):
         return None
     with open(path, "rb") as f:
         text = f.read()
-    footer_at = text.rfind(b"checksum fnv1a64 ")
+    footer_at = text.rfind(FOOTER_TAG)
     if footer_at < 0 or (footer_at != 0 and text[footer_at - 1 : footer_at] != b"\n"):
         note(f"MANIFEST torn (no footer, {len(text)} bytes); scan fallback required")
         return None
-    body = text[:footer_at]
-    declared = int(text[footer_at:].split()[2], 16)
-    if fnv1a64(body) != declared:
+    try:
+        check_footer(text, footer_at)
+    except ValueError:
         note("MANIFEST torn (footer checksum mismatch); scan fallback required")
         return None
-    lines = body.decode().splitlines()
+    lines = text[:footer_at].decode().splitlines()
     if not lines or lines[0] != "sdcmd-manifest 1":
         fail(f"MANIFEST verified its checksum but has bad header: {lines[:1]}")
     ring = []
@@ -120,18 +203,24 @@ def verify_manifest(run_dir: str) -> list:
         if kind != "entry":
             fail(f"MANIFEST unexpected record '{kind}'")
         full = os.path.join(run_dir, fname)
-        if not os.path.exists(full):
-            fail(f"MANIFEST lists missing file {fname}")
-        with open(full, "rb") as f:
-            actual = fnv1a64(f.read())
-        if actual != int(csum, 16):
-            fail(f"MANIFEST checksum for {fname} does not match the file")
+        if os.path.exists(full):
+            with open(full, "rb") as f:
+                actual = fnv1a64(f.read())
+            if actual != int(csum, 16):
+                fail(f"MANIFEST checksum for {fname} does not match the file")
         ring.append((int(step), fname))
     return ring
 
 
 def audit(run_dir: str, keep: int, prev_best: int, cycle: str) -> int:
-    """Audit the run directory after a kill; return the newest valid step."""
+    """Audit the run directory after a kill; return the newest valid step.
+
+    Models RunDir::commit exactly: checkpoint rename, run_state.json
+    rename, prune, MANIFEST rename. A kill between the first and the last
+    leaves one checksum-valid generation newer than the MANIFEST head that
+    it does not list and, once the prune ran, the MANIFEST's oldest entry
+    missing. Any other difference between MANIFEST and disk is a fault.
+    """
     names = sorted(os.listdir(run_dir))
     ckpts = [n for n in names if CKPT_RE.match(n)]
     tmps = [n for n in names if n.endswith(".tmp")]
@@ -152,12 +241,22 @@ def audit(run_dir: str, keep: int, prev_best: int, cycle: str) -> int:
         fail(f"[{cycle}] no checkpoints survived the kill")
 
     ring = verify_manifest(run_dir)
-    if ring is not None and ring:
-        if ring[0][0] != max(steps):
-            fail(
-                f"[{cycle}] MANIFEST head is step {ring[0][0]}, "
-                f"newest on disk is {max(steps)}"
-            )
+    unlisted = []
+    if ring:
+        listed = [step for step, _ in ring]
+        head = max(listed)
+        unlisted = sorted(set(steps) - set(listed))
+        if any(step < head for step in unlisted):
+            fail(f"[{cycle}] generation(s) {unlisted} on disk are unlisted "
+                 f"and not all newer than the MANIFEST head {head}")
+        if len(unlisted) > 1:
+            fail(f"[{cycle}] {len(unlisted)} generations {unlisted} newer "
+                 f"than the MANIFEST head {head}; a commit leaves at most one")
+        missing = sorted(set(listed) - set(steps))
+        if missing and (missing != [min(listed)] or not unlisted):
+            fail(f"[{cycle}] MANIFEST lists missing generation(s) {missing}; "
+                 f"only the oldest ({min(listed)}) may be pruned, and only "
+                 f"once a newer generation is on disk")
 
     best = max(steps)
     if best < prev_best:
@@ -165,9 +264,25 @@ def audit(run_dir: str, keep: int, prev_best: int, cycle: str) -> int:
     note(
         f"[{cycle}] audit ok: ring={sorted(steps, reverse=True)} "
         f"manifest={'ok' if ring is not None else 'torn/absent'} "
-        f"tmp={len(tmps)}"
+        f"unlisted={unlisted} tmp={len(tmps)}"
     )
     return best
+
+
+def expect_audit_failure(args, what: str, doctor) -> None:
+    """Audit a doctored copy of the run directory; it must fail."""
+    copy = args.run_dir + ".doctored"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(args.run_dir, copy)
+    doctor(copy)
+    try:
+        audit(copy, args.keep, -1, f"doctored: {what}")
+    except DrillFailure as e:
+        note(f"audit rejects {what}: {e}")
+        return
+    finally:
+        shutil.rmtree(copy, ignore_errors=True)
+    fail(f"audit accepted {what}")
 
 
 def launch(args, resume: bool, steps: int = None):
@@ -199,6 +314,13 @@ def check_resume_output(out: str, cycle: str) -> None:
     note(f"[{cycle}] energy continuity rel={rel:g}")
 
 
+def check_resumed_at(out: str, step: int, tag: str) -> None:
+    m = RESUMED_RE.search(out)
+    if not (m and int(m.group(1)) == step):
+        fail(f"[{tag}] did not resume step {step}:\n{out}")
+    check_resume_output(out, tag)
+
+
 def run_to(args, steps: int, resume: bool, tag: str) -> str:
     """Run sdcmd-run to `steps` without a kill; return its output."""
     proc = launch(args, resume, steps)
@@ -213,12 +335,23 @@ def drop_manifest_head(run_dir: str) -> int:
     path = os.path.join(run_dir, "MANIFEST")
     with open(path, "rb") as f:
         text = f.read()
-    lines = text[: text.rfind(b"checksum fnv1a64 ")].decode().splitlines()
+    lines = text[: text.rfind(FOOTER_TAG)].decode().splitlines()
     head = lines.pop(1)  # lines[0] is the header
     body = ("\n".join(lines) + "\n").encode()
     with open(path, "wb") as f:
         f.write(body + b"checksum fnv1a64 %016x\n" % fnv1a64(body))
     return int(head.split()[1])
+
+
+def ring_versions(run_dir: str) -> dict:
+    """{step: checkpoint format version} for every ring file on disk."""
+    versions = {}
+    for name in os.listdir(run_dir):
+        if CKPT_RE.match(name):
+            with open(os.path.join(run_dir, name), "rb") as f:
+                version, step = checkpoint_step(f.read())
+            versions[step] = version
+    return versions
 
 
 def window_drill(args) -> None:
@@ -232,11 +365,27 @@ def window_drill(args) -> None:
     dropped = drop_manifest_head(args.run_dir)
     if dropped != 2 * every:
         fail(f"[window] MANIFEST head was step {dropped}, expected {2 * every}")
+    audit(args.run_dir, args.keep, 2 * every, "window: pre-resume")
+    expect_audit_failure(args, "two unlisted newer generations",
+                         drop_manifest_head)
+    expect_audit_failure(
+        args, "a missing MANIFEST entry that is not the oldest",
+        lambda d: os.remove(os.path.join(d, checkpoint_name(every))))
+
+    with open(os.path.join(args.run_dir, checkpoint_name(2 * every)), "rb") as f:
+        newest = f.read()
+    if checkpoint_step(newest)[0] != 3:
+        fail("[window] the newest generation is not checkpoint format v3")
+    array_at = len(newest) // 2
+    expect_rejected(newest[:array_at] + newest[array_at + 64:],
+                    "a v3 file with a truncated array")
+    expect_rejected(newest[:array_at] + bytes([newest[array_at] ^ 1]) +
+                    newest[array_at + 1:], "a v3 file with one flipped bit")
+
     out = run_to(args, 3 * every, True, "window: resume")
-    m = RESUMED_RE.search(out)
-    if not (m and int(m.group(1)) == 2 * every):
-        fail(f"[window: resume] did not resume the proven step {2 * every}:\n{out}")
-    check_resume_output(out, "window: resume")
+    check_resumed_at(out, 2 * every, "window: resume")
+    if "stale sidecar" in out:
+        fail(f"[window: resume] called the newer sidecar stale:\n{out}")
     best = audit(args.run_dir, args.keep, 2 * every, "window: final")
     if best != 3 * every:
         fail(f"[window: final] ring head is step {best}, expected {3 * every}")
@@ -244,37 +393,33 @@ def window_drill(args) -> None:
          f"sidecar/MANIFEST window")
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--binary", required=True, help="path to sdcmd-run")
-    ap.add_argument("--run-dir", default=None, help="run directory (default: fresh tmp)")
-    ap.add_argument("--cycles", type=int, default=3, help="SIGKILL/resume cycles")
-    ap.add_argument("--steps", type=int, default=15000, help="target step")
-    ap.add_argument("--cells", type=int, default=6)
-    ap.add_argument("--keep", type=int, default=3)
-    ap.add_argument("--checkpoint-every", type=int, default=200)
-    ap.add_argument("--seed", type=int, default=12345, help="velocity seed")
-    ap.add_argument("--rng-seed", type=int, default=7, help="kill-timing seed")
-    ap.add_argument("--min-delay", type=float, default=0.3)
-    ap.add_argument("--max-delay", type=float, default=1.5)
-    ap.add_argument("--window-drill", action="store_true",
-                    help="drill the sidecar/MANIFEST commit window instead of kills")
-    args = ap.parse_args()
+def legacy_ring_drill(args) -> None:
+    """Resume an older build's ring, commit v3 on top, resume the mix."""
+    if os.path.exists(args.run_dir):
+        fail(f"--run-dir {args.run_dir} exists; the drill copies the ring there")
+    shutil.copytree(args.legacy_ring, args.run_dir)
+    start = audit(args.run_dir, args.keep, -1, "legacy: as written")
+    old = set(ring_versions(args.run_dir).values())
+    if 3 in old:
+        fail(f"[legacy] {args.legacy_ring} already holds v3 generations")
+    every = args.checkpoint_every
+    out = run_to(args, start + every, True, "legacy: resume")
+    check_resumed_at(out, start, "legacy: resume")
+    audit(args.run_dir, args.keep, start + every, "legacy: after v3 commits")
+    versions = ring_versions(args.run_dir)
+    if not (old & set(versions.values()) and 3 in versions.values()):
+        fail(f"[legacy] ring is not mixed: {versions}")
+    out = run_to(args, start + 2 * every, True, "legacy: resume mixed ring")
+    check_resumed_at(out, start + every, "legacy: resume mixed ring")
+    best = audit(args.run_dir, args.keep, start + 2 * every, "legacy: final")
+    if best != start + 2 * every:
+        fail(f"[legacy: final] ring head is step {best}")
+    formats = "/".join(f"v{version}" for version in sorted(old))
+    note(f"PASS: resumed the {formats} ring at step {start}, committed v3 "
+         f"on top, resumed the mixed ring {versions}")
 
-    if not (os.path.isfile(args.binary) and os.access(args.binary, os.X_OK)):
-        fail(f"binary not executable: {args.binary}")
 
-    cleanup = None
-    if args.run_dir is None:
-        cleanup = tempfile.mkdtemp(prefix="chaos_resume.")
-        args.run_dir = os.path.join(cleanup, "run.d")
-
-    if args.window_drill:
-        window_drill(args)
-        if cleanup:
-            shutil.rmtree(cleanup, ignore_errors=True)
-        return
-
+def kill_drill(args) -> None:
     rng = random.Random(args.rng_seed)
     prev_best = -1
     completed_early = False
@@ -313,11 +458,52 @@ def main() -> None:
     final_best = audit(args.run_dir, args.keep, prev_best, "final")
     if final_best != args.steps:
         fail(f"final ring head is step {final_best}, expected {args.steps}")
-
-    if cleanup:
-        shutil.rmtree(cleanup, ignore_errors=True)
     note(f"PASS: {args.cycles} kill-resume cycles, monotone steps, "
          f"valid ring, energy continuous")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--binary", required=True, help="path to sdcmd-run")
+    ap.add_argument("--run-dir", default=None, help="run directory (default: fresh tmp)")
+    ap.add_argument("--cycles", type=int, default=3, help="SIGKILL/resume cycles")
+    ap.add_argument("--steps", type=int, default=15000, help="target step")
+    ap.add_argument("--cells", type=int, default=6)
+    ap.add_argument("--keep", type=int, default=3)
+    ap.add_argument("--checkpoint-every", type=int, default=200)
+    ap.add_argument("--seed", type=int, default=12345, help="velocity seed")
+    ap.add_argument("--rng-seed", type=int, default=7, help="kill-timing seed")
+    ap.add_argument("--min-delay", type=float, default=0.3)
+    ap.add_argument("--max-delay", type=float, default=1.5)
+    ap.add_argument("--window-drill", action="store_true",
+                    help="drill the sidecar/MANIFEST commit window instead of kills")
+    ap.add_argument("--legacy-ring", default=None, metavar="DIR",
+                    help="resume a copy of the ring in DIR (written by an "
+                         "older build) instead of kills")
+    args = ap.parse_args()
+
+    if not (os.path.isfile(args.binary) and os.access(args.binary, os.X_OK)):
+        print(f"chaos_resume: FAIL: binary not executable: {args.binary}",
+              file=sys.stderr)
+        sys.exit(1)
+
+    cleanup = None
+    if args.run_dir is None:
+        cleanup = tempfile.mkdtemp(prefix="chaos_resume.")
+        args.run_dir = os.path.join(cleanup, "run.d")
+
+    try:
+        if args.window_drill:
+            window_drill(args)
+        elif args.legacy_ring:
+            legacy_ring_drill(args)
+        else:
+            kill_drill(args)
+    except DrillFailure as e:
+        print(f"chaos_resume: FAIL: {e}", file=sys.stderr)
+        sys.exit(1)
+    if cleanup:
+        shutil.rmtree(cleanup, ignore_errors=True)
 
 
 if __name__ == "__main__":

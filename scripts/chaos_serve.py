@@ -7,9 +7,13 @@ it, and requires the whole fleet to come back:
 
   * every session auto-resumes on restart (``status`` reports
     ``resumed: true``) with an energy-continuity proof <= 1e-8;
-  * per-session checkpoint rings stay valid across kills (fnv1a64 footers
-    recomputed here in pure Python) and at most one stray ``*.tmp`` file
-    exists per session directory -- the one write the kill interrupted;
+  * per-session checkpoint rings stay valid across kills (each file
+    verified on its own by chaos_resume.checkpoint_step: a v3 file must
+    have exactly the length its header implies and an fnv1a64 footer
+    recomputed here in pure Python; v2 files still pass) and at most one
+    stray ``*.tmp`` file exists per session directory -- the one write the
+    kill interrupted; the audit must also reject a copy of a session whose
+    newest checkpoint lost part of its array;
   * the newest resumable step per session never moves backwards across
     kill cycles (monotone step counters);
   * a final SIGTERM drains clean: the daemon checkpoints every session,
@@ -26,7 +30,7 @@ import argparse
 import json
 import os
 import random
-import re
+import shutil
 import signal
 import socket
 import subprocess
@@ -35,23 +39,15 @@ import tempfile
 import threading
 import time
 
-FNV_OFFSET = 14695981039346656037
-FNV_PRIME = 1099511628211
-MASK64 = (1 << 64) - 1
-
-CKPT_RE = re.compile(r"^ckpt_(\d{10})\.chk$")
+from chaos_resume import CKPT_RE, DrillFailure, checkpoint_step
 
 
-def fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & MASK64
-    return h
+# Every daemon launched, so a drill that stops early stops its daemon too.
+DAEMONS = []
 
 
 def fail(msg: str) -> None:
-    print(f"chaos_serve: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+    raise DrillFailure(msg)
 
 
 def note(msg: str) -> None:
@@ -126,7 +122,9 @@ def launch(args, tag: str) -> subprocess.Popen:
         "--watchdog-min", "5.0",  # generous: CI noise must not quarantine
     ]
     log = open(os.path.join(args.workdir, f"daemon_{tag}.log"), "w")
-    return subprocess.Popen(cmd, stdout=log, stderr=subprocess.STDOUT)
+    daemon = subprocess.Popen(cmd, stdout=log, stderr=subprocess.STDOUT)
+    DAEMONS.append(daemon)
+    return daemon
 
 
 def audit_session(session_dir: str, prev_best: int, tag: str) -> int:
@@ -141,14 +139,14 @@ def audit_session(session_dir: str, prev_best: int, tag: str) -> int:
     steps = []
     for name in ckpts:
         with open(os.path.join(session_dir, name), "rb") as f:
-            text = f.read()
-        footer_at = text.rfind(b"checksum fnv1a64 ")
-        if footer_at < 0:
-            fail(f"[{tag}] {session_dir}/{name}: no checksum footer")
-        declared = int(text[footer_at:].split()[2], 16)
-        if fnv1a64(text[:footer_at]) != declared:
-            fail(f"[{tag}] {session_dir}/{name}: checksum mismatch")
-        steps.append(int(CKPT_RE.match(name).group(1)))
+            data = f.read()
+        try:
+            step = checkpoint_step(data)[1]
+        except ValueError as e:
+            fail(f"[{tag}] {session_dir}/{name}: {e}")
+        if step != int(CKPT_RE.match(name).group(1)):
+            fail(f"[{tag}] {session_dir}/{name} contains step {step}")
+        steps.append(step)
     if not steps:
         fail(f"[{tag}] {session_dir}: no checkpoints survived")
     best = max(steps)
@@ -156,6 +154,29 @@ def audit_session(session_dir: str, prev_best: int, tag: str) -> int:
         fail(f"[{tag}] {session_dir}: newest step went backwards "
              f"({best} < {prev_best})")
     return best
+
+
+def expect_truncated_array_rejected(session_dir: str, tag: str) -> None:
+    """audit_session must fail on a copy whose newest checkpoint lost 64
+    bytes from the middle of its array (header and footer intact)."""
+    copy = session_dir + ".doctored"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(session_dir, copy)
+    try:
+        newest = os.path.join(copy, max(n for n in os.listdir(copy)
+                                        if CKPT_RE.match(n)))
+        with open(newest, "rb") as f:
+            data = f.read()
+        cut = len(data) // 2
+        with open(newest, "wb") as f:
+            f.write(data[:cut] + data[cut + 64:])
+        audit_session(copy, -1, f"{tag}: truncated array")
+    except DrillFailure as e:
+        note(f"[{tag}] audit rejects a truncated array: {e}")
+        return
+    finally:
+        shutil.rmtree(copy, ignore_errors=True)
+    fail(f"[{tag}] audit accepted a checkpoint with a truncated array")
 
 
 def assert_fleet_resumed(client: Client, ids, best, slack: int,
@@ -191,7 +212,19 @@ def main() -> None:
     ap.add_argument("--min-delay", type=float, default=0.5)
     ap.add_argument("--max-delay", type=float, default=1.5)
     args = ap.parse_args()
+    try:
+        drill(args)
+    except DrillFailure as e:
+        print(f"chaos_serve: FAIL: {e}", file=sys.stderr)
+        sys.exit(1)
+    finally:
+        for daemon in DAEMONS:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
 
+
+def drill(args) -> None:
     if not (os.path.isfile(args.binary) and os.access(args.binary, os.X_OK)):
         fail(f"binary not executable: {args.binary}")
 
@@ -244,6 +277,9 @@ def main() -> None:
         for sid in ids:
             best[sid] = audit_session(os.path.join(args.root, sid),
                                       best[sid], tag)
+        if cycle == 1:
+            expect_truncated_array_rejected(os.path.join(args.root, ids[0]),
+                                            tag)
         daemon = launch(args, f"cycle{cycle}")
         client.connect()
         assert_fleet_resumed(client, ids, best, args.checkpoint_every, tag)

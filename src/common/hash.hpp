@@ -1,8 +1,9 @@
 // FNV-1a 64-bit hashing shared by the integrity-checked file formats
-// (checkpoint v2 payload footer, run-directory MANIFEST) and the run
-// supervisor's config fingerprint. One canonical implementation so the
-// chaos tooling (scripts/chaos_resume.py) can re-verify every artifact
-// with the same constants.
+// (the checkpoint footer of v2 text and v3 binary files, the run-directory
+// MANIFEST and its per-file entries) and the run supervisor's config
+// fingerprint. One canonical implementation so the chaos tooling
+// (scripts/chaos_resume.py, scripts/chaos_serve.py) can re-verify every
+// artifact with the same constants.
 #pragma once
 
 #include <cstdint>

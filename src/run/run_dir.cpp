@@ -27,13 +27,20 @@ constexpr const char* kCkptPrefix = "ckpt_";
 constexpr const char* kCkptSuffix = ".chk";
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     throw Error("run_dir: cannot open '" + path + "'");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  const std::streamoff size = in.tellg();
+  if (size < 0) {
+    throw Error("run_dir: cannot read '" + path + "'");
+  }
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
+    throw Error("run_dir: cannot read '" + path + "'");
+  }
+  return bytes;
 }
 
 /// Temp-then-rename writer shared by the sidecar and the MANIFEST; unlinks
@@ -334,11 +341,16 @@ std::optional<ResumePoint> RunDir::try_resume() const {
         try {
           point.state = parse_run_state(read_file(state_path));
           point.state_valid = point.state.step == point.checkpoint.step;
-          if (!point.state_valid) {
+          if (point.state.step < point.checkpoint.step) {
             SDCMD_WARN("run_dir: run_state.json is for step "
-                       << point.state.step << ", resuming checkpoint is step "
-                       << point.checkpoint.step
-                       << "; ignoring the stale sidecar");
+                       << point.state.step << ", older than the resuming "
+                       << "checkpoint (step " << point.checkpoint.step
+                       << "); ignoring the stale sidecar");
+          } else if (point.state.step > point.checkpoint.step) {
+            SDCMD_WARN("run_dir: run_state.json is for step "
+                       << point.state.step << ", newer than the resuming "
+                       << "checkpoint (step " << point.checkpoint.step
+                       << "); not using it for this older checkpoint");
           }
         } catch (const Error& e) {
           // Zero-byte, corrupt, or unreadable sidecar: degrade, never block.

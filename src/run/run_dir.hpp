@@ -3,16 +3,17 @@
 // Layout of a run directory:
 //
 //   <run_dir>/
-//     ckpt_0000001200.chk   checkpoint ring, format v2 (io/checkpoint.hpp),
-//     ckpt_0000001400.chk   keep-last-K rotation, zero-padded step in the
-//     ckpt_0000001600.chk   name so lexicographic order == step order
+//     ckpt_0000001200.chk   checkpoint ring, format v3 (io/checkpoint.hpp;
+//     ckpt_0000001400.chk   rings written as v2 still resume), keep-last-K
+//     ckpt_0000001600.chk   rotation, zero-padded step in the name so
+//                           lexicographic order == step order
 //     run_state.json        sdcmd.run_state.v1 sidecar (run/run_state.hpp)
 //     MANIFEST              ring index, temp-then-rename, checksum footer
 //
 // MANIFEST format (text, one entry per ring file, newest first):
 //
 //   sdcmd-manifest 1
-//   entry <step> <filename> <fnv1a64 of the file's bytes>
+//   entry <step> <filename> <fnv1a64 of the file's bytes, read back>
 //   ...
 //   checksum fnv1a64 <hex>          # covers every preceding byte
 //
@@ -66,10 +67,14 @@ class RunDir {
   const std::string& path() const { return path_; }
   int keep() const { return keep_; }
 
-  /// Persist one retention-ring generation: checkpoint file, run_state
-  /// sidecar, MANIFEST, then prune the ring beyond keep(). Throws Error on
-  /// write failure (the caller retries; a failed write never corrupts the
-  /// previous generation). `state.checkpoint_file` is filled in.
+  /// Persist one retention-ring generation. Order: checkpoint rename,
+  /// run_state sidecar rename, prune of the ring beyond keep(), MANIFEST
+  /// rename. A crash between those steps leaves at most one checkpoint
+  /// newer than the MANIFEST head that it does not list, and at most its
+  /// oldest entry already pruned (scripts/chaos_resume.py audits exactly
+  /// that). Throws Error on write failure (the caller retries; a failed
+  /// write never corrupts the previous generation). `state.checkpoint_file`
+  /// is filled in.
   void commit(const System& system, RunState state);
 
   /// The ring according to the MANIFEST, newest first. Empty when there is
