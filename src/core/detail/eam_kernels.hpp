@@ -22,9 +22,13 @@
 // Force rows accumulate the pair energy and virial of every pair they
 // visit; on a full list the caller halves the totals.
 //
-// Splines: when EamArgs.tables is set (tabulated potentials) the rows
-// evaluate the flattened spline tables inline; analytic potentials keep
-// the EamPotential virtual calls.
+// The scalar rows are templates on the potential type `Pot` they evaluate
+// through. The caller picks it once per force call with visit_eam
+// (potential/eam_visit.hpp): FinnisSinclair and TabulatedEam inline their
+// pair/density/embed bodies into the rows; with Pot = EamPotential every
+// evaluation is a virtual call. Both give the same bits: the rows pass
+// every value a body returns through as_returned(), and eam_force.cpp is
+// built without SLP vectorization (see src/core/CMakeLists.txt).
 #pragma once
 
 #include <cmath>
@@ -56,12 +60,31 @@ struct EamArgs {
   const Box& box;
   std::span<const Vec3> x;
   const NeighborList& list;
-  const EamPotential& pot;
   double cutoff2;  ///< squared potential cutoff (list range is wider)
-  /// Flattened spline tables for inline evaluation; null -> virtual calls.
-  const EamSplineTables* tables = nullptr;
   PairCacheRefs cache;  ///< required by the cached rows
 };
+
+/// Hides `v` from the optimizer as a call's result is hidden. With FMA
+/// contraction on (-march=native), GCC would otherwise fuse the last
+/// product of an inlined body (FinnisSinclair's pair energy t*t*poly, its
+/// embedding energy -A*sqrt(rho)) into the row's running sum, and an
+/// inlined potential would no longer give the bits of the same body
+/// called through the vtable. Emits no instruction.
+inline void as_returned(double& v) {
+#if defined(__x86_64__) || defined(__i386__)
+  asm("" : "+x"(v));
+#elif defined(__aarch64__)
+  asm("" : "+w"(v));
+#else
+  asm volatile("" : "+m"(v));
+#endif
+}
+
+/// Both values a potential body returns.
+inline void as_returned(double& value, double& derivative) {
+  as_returned(value);
+  as_returned(derivative);
+}
 
 /// Minimum-image pair geometry; returns false when beyond the cutoff.
 struct PairGeom {
@@ -78,41 +101,18 @@ inline bool pair_geometry(const Box& box, const Vec3& xi, const Vec3& xj,
   return true;
 }
 
-inline void eval_density(const EamArgs& a, double r, double& phi,
-                         double& dphidr) {
-  if (a.tables != nullptr) {
-    a.tables->density.evaluate(r, phi, dphidr);
-  } else {
-    a.pot.density(r, phi, dphidr);
-  }
-}
-
-inline void eval_pair(const EamArgs& a, double r, double& v, double& dvdr) {
-  if (a.tables != nullptr) {
-    a.tables->pair.evaluate(r, v, dvdr);
-  } else {
-    a.pot.pair(r, v, dvdr);
-  }
-}
-
-inline void eval_embed(const EamArgs& a, double rho_i, double& f,
-                       double& dfdrho) {
-  if (a.tables != nullptr) {
-    a.tables->embed.evaluate(rho_i, f, dfdrho);
-  } else {
-    a.pot.embed(rho_i, f, dfdrho);
-  }
-}
-
 // --- phase 1: electron density ----------------------------------------------
 
-template <bool kCached>
+template <bool kCached, class Pot>
 struct EamDensityRow {
   const EamArgs& args;
+  const Pot& pot;
 
   template <class S>
   void operator()(std::size_t i, S s) const {
-    const EamArgs& a = args;  // a register, not a member reload per pair
+    // Registers, not member reloads per pair.
+    const EamArgs& a = args;
+    const Pot& p = pot;
     const Vec3 xi = a.x[i];
     const auto nbrs = a.list.neighbors(i);
     const std::size_t base = a.list.neigh_index()[i];
@@ -125,7 +125,8 @@ struct EamDensityRow {
         continue;
       }
       double phi, dphidr;
-      eval_density(a, g.r, phi, dphidr);
+      p.density(g.r, phi, dphidr);
+      as_returned(phi, dphidr);
       if constexpr (kCached) {
         a.cache.dr[base + k] = g.dr;
         a.cache.r[base + k] = g.r;
@@ -151,15 +152,17 @@ struct RcSoaDensityRow {
 
 // --- phase 2: embedding -----------------------------------------------------
 
+template <class Pot>
 struct EmbedRow {
-  const EamArgs& args;
+  const Pot& pot;
   const double* rho;
   double* fp;
   double energy = 0.0;
 
   void operator()(std::size_t i) {
     double f, dfdrho;
-    eval_embed(args, rho[i], f, dfdrho);
+    pot.embed(rho[i], f, dfdrho);
+    as_returned(f, dfdrho);
     fp[i] = dfdrho;
     energy += f;
   }
@@ -182,9 +185,10 @@ struct SoaEmbedBlock {
 
 // --- phase 3: forces --------------------------------------------------------
 
-template <bool kCached>
+template <bool kCached, class Pot>
 struct EamForceRow {
   const EamArgs& args;
+  const Pot& pot;
   const double* fp_array;  ///< F'(rho) per atom
   double energy = 0.0;
   double virial = 0.0;
@@ -194,6 +198,7 @@ struct EamForceRow {
     // Locals, not members: members live in memory, which the scatter
     // stores and virtual potential calls would force to reload per pair.
     const EamArgs& a = args;
+    const Pot& p = pot;
     const double* fp = fp_array;
     double e = energy, w = virial;
     const Vec3 xi = a.x[i];
@@ -216,17 +221,23 @@ struct EamForceRow {
         dr = g.dr;
         r = g.r;
         double phi;
-        eval_density(a, r, phi, dphidr);
+        p.density(r, phi, dphidr);
+        as_returned(phi, dphidr);
       }
       double v, dvdr;
-      eval_pair(a, r, v, dvdr);
+      p.pair(r, v, dvdr);
+      as_returned(v, dvdr);
       // dE/dr_ij = V'(r) + (F'(rho_i) + F'(rho_j)) phi'(r)   [paper eq. (2)]
       const double fpair = -(dvdr + (fp_i + fp[j]) * dphidr) / r;
       const Vec3 fv = fpair * dr;
       f_i += fv;
       if constexpr (S::kScatters) s.add(j, -fv);  // Newton's third law
       e += v;
-      w += fpair * r * r;
+      // Rounded before the sum, so the virial stays bitwise what the rows
+      // gave before the potential bodies were inlined.
+      double w_pair = fpair * r * r;
+      as_returned(w_pair);
+      w += w_pair;
     }
     s.add(i, f_i);
     energy = e;

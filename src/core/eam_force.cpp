@@ -3,11 +3,13 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/threads.hpp"
 #include "core/detail/eam_kernels.hpp"
 #include "core/detail/skeleton.hpp"
+#include "potential/eam_visit.hpp"
 
 namespace sdcmd {
 
@@ -15,13 +17,20 @@ namespace sdcmd {
 /// The density phase writes every slot; the force phase reads them back
 /// instead of recomputing minimum image + sqrt + density spline. Reused
 /// across steps: resize() keeps capacity when the pair count shrinks, so
-/// steady-state steps never reallocate.
+/// steady-state steps never reallocate, and grows it to 12.5 % above the
+/// pair count, like NeighborList's CSR arrays, rather than letting the
+/// vectors double.
 struct EamForceComputer::PairCache {
   std::vector<Vec3> dr;
   std::vector<double> r;
   std::vector<double> dphidr;
 
   void resize(std::size_t pairs) {
+    if (r.capacity() < pairs) {
+      dr.reserve(pairs + pairs / 8);
+      r.reserve(pairs + pairs / 8);
+      dphidr.reserve(pairs + pairs / 8);
+    }
     dr.resize(pairs);
     r.resize(pairs);
     dphidr.resize(pairs);
@@ -93,9 +102,9 @@ const CellTaskSchedule* EamForceComputer::task_schedule() const {
   return engine_->task_schedule();
 }
 
-const EamSplineTables* EamForceComputer::spline_tables() const {
+const EamSplineTables* EamForceComputer::packed_tables() const {
   const EamSplineTables* tables = potential_.spline_tables();
-  return tables != nullptr && tables->valid() ? tables : nullptr;
+  return tables != nullptr && tables->packed_valid() ? tables : nullptr;
 }
 
 EamForceResult EamForceComputer::compute(const Box& box,
@@ -121,14 +130,12 @@ EamForceResult EamForceComputer::compute(const Box& box,
   engine_->require_ready(n);
 
   const double cutoff = potential_.cutoff();
-  detail::EamArgs args{box,        positions,       list,
-                       potential_, cutoff * cutoff, spline_tables(),
-                       {}};
+  detail::EamArgs args{box, positions, list, cutoff * cutoff, {}};
   // Full lists gather (RC); half lists scatter through the pair cache.
   const bool gather = list.mode() == NeighborMode::Full;
   // SIMD gathers need padded tiles and packed spline tables.
-  const bool soa_on = gather && list.has_padded_tiles() &&
-                      args.tables != nullptr && args.tables->packed_valid();
+  const EamSplineTables* tables = packed_tables();
+  const bool soa_on = gather && list.has_padded_tiles() && tables != nullptr;
   detail::SoaView sv;
   if (soa_on) {
     if (soa_ == nullptr) soa_ = std::make_unique<SoaWorkspace>();
@@ -146,9 +153,9 @@ EamForceResult EamForceComputer::compute(const Box& box,
     sv.ilx = box.periodic(0) ? 1.0 / len.x : 0.0;
     sv.ily = box.periodic(1) ? 1.0 / len.y : 0.0;
     sv.ilz = box.periodic(2) ? 1.0 / len.z : 0.0;
-    sv.density = args.tables->density_packed;
-    sv.pair = args.tables->pair_packed;
-    sv.embed = args.tables->embed_packed;
+    sv.density = tables->density_packed;
+    sv.pair = tables->pair_packed;
+    sv.embed = tables->embed_packed;
   } else if (!gather) {
     cache_->resize(list.pair_count());
     args.cache = cache_->refs();
@@ -200,7 +207,8 @@ EamForceResult EamForceComputer::compute(const Box& box,
   double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
   // `run_phase` is the engine's strategy dispatch for half-list rows, or
   // its gather shape for rows that only exist on full lists.
-  auto fused = [&](auto density_row, auto force_row, auto run_phase) {
+  auto fused = [&](auto density_row, auto embed_row, auto force_row,
+                   auto run_phase) {
 #pragma omp parallel num_threads(team_request)
     {
       const int tid = omp_get_thread_num();
@@ -230,16 +238,12 @@ EamForceResult EamForceComputer::compute(const Box& box,
       if (hw) hw_profiler_.thread_mark(0, tid);
 #pragma omp master
       t1 = wall_time();
-      if (soa_on) {
-        detail::SoaEmbedBlock embed{sv.embed, n, rho.data(), fp.data()};
-        detail::sweep((n + detail::kSoaChunk - 1) / detail::kSoaChunk, prof,
-                      detail::kProfPhaseEmbed, embed);
-        embed_parts_[static_cast<std::size_t>(tid)] = embed.energy;
-      } else {
-        detail::EmbedRow embed{args, rho.data(), fp.data()};
-        detail::sweep(n, prof, detail::kProfPhaseEmbed, embed);
-        embed_parts_[static_cast<std::size_t>(tid)] = embed.energy;
-      }
+      // The SoA embed row takes a block of kSoaChunk atoms per call.
+      auto embed = embed_row;
+      detail::sweep(soa_on ? (n + detail::kSoaChunk - 1) / detail::kSoaChunk
+                           : n,
+                    prof, detail::kProfPhaseEmbed, embed);
+      embed_parts_[static_cast<std::size_t>(tid)] = embed.energy;
       if (hw) hw_profiler_.thread_mark(1, tid);
 #pragma omp master
       t2 = wall_time();
@@ -260,13 +264,24 @@ EamForceResult EamForceComputer::compute(const Box& box,
   };
   if (soa_on) {
     fused(detail::RcSoaDensityRow{sv, args.cutoff2},
+          detail::SoaEmbedBlock{sv.embed, n, rho.data(), fp.data()},
           detail::RcSoaForceRow{sv, args.cutoff2, fp.data()}, run_gather);
-  } else if (gather) {
-    fused(detail::EamDensityRow<false>{args},
-          detail::EamForceRow<false>{args, fp.data()}, run_gather);
   } else {
-    fused(detail::EamDensityRow<true>{args},
-          detail::EamForceRow<true>{args, fp.data()}, run_scatter);
+    // The scalar rows are compiled once per potential type visit_eam can
+    // pick, so FinnisSinclair and TabulatedEam evaluate inline.
+    visit_eam(potential_, [&](const auto& pot) {
+      using Pot = std::decay_t<decltype(pot)>;
+      const detail::EmbedRow<Pot> embed{pot, rho.data(), fp.data()};
+      if (gather) {
+        fused(detail::EamDensityRow<false, Pot>{args, pot}, embed,
+              detail::EamForceRow<false, Pot>{args, pot, fp.data()},
+              run_gather);
+      } else {
+        fused(detail::EamDensityRow<true, Pot>{args, pot}, embed,
+              detail::EamForceRow<true, Pot>{args, pot, fp.data()},
+              run_scatter);
+      }
+    });
   }
   timers_.slot(t_density_).add_lap(t1 - t0);  // includes the zeroing sweep
   timers_.slot(t_embed_).add_lap(t2 - t1);
@@ -335,9 +350,8 @@ EamForceResult EamForceComputer::compute(const Box& box,
 }
 
 int EamForceComputer::neighbor_pad_width() const {
-  const EamSplineTables* tables = spline_tables();
-  const bool packed = tables != nullptr && tables->packed_valid();
-  return packed && required_mode(config_.strategy) == NeighborMode::Full
+  return packed_tables() != nullptr &&
+                 required_mode(config_.strategy) == NeighborMode::Full
              ? detail::kSoaPadWidth
              : 0;
 }
@@ -353,29 +367,31 @@ EamForceResult EamForceComputer::compute_serial_reference(
   SDCMD_REQUIRE(list.mode() == NeighborMode::Half,
                 "the serial reference kernels walk a half neighbor list");
   const double cutoff = potential_.cutoff();
-  const detail::EamArgs args{box,        positions,       list,
-                             potential_, cutoff * cutoff, spline_tables(),
-                             {}};
+  const detail::EamArgs args{box, positions, list, cutoff * cutoff, {}};
   std::fill(rho.begin(), rho.end(), 0.0);
   std::fill(force.begin(), force.end(), Vec3{});
-  // The skeleton's static sweep in a team of one: every row in order, plain
-  // adds, whatever region the caller is in.
-  const detail::EamDensityRow<false> density{args};
-  detail::EmbedRow embed{args, rho.data(), fp.data()};
-  detail::EamForceRow<false> forces{args, fp.data()};
+  return visit_eam(potential_, [&](const auto& pot) {
+    using Pot = std::decay_t<decltype(pot)>;
+    // The skeleton's static sweep in a team of one: every row in order,
+    // plain adds, whatever region the caller is in.
+    const detail::EamDensityRow<false, Pot> density{args, pot};
+    detail::EmbedRow<Pot> embed{pot, rho.data(), fp.data()};
+    detail::EamForceRow<false, Pot> forces{args, pot, fp.data()};
 #pragma omp parallel num_threads(1)
-  {
-    detail::PlainScatter<double> to_rho{rho.data()};
-    detail::sweep(n, nullptr, 0, [&](std::size_t i) { density(i, to_rho); });
-    detail::sweep(n, nullptr, 0, embed);
-    detail::PlainScatter<Vec3> to_force{force.data()};
-    detail::sweep(n, nullptr, 0, [&](std::size_t i) { forces(i, to_force); });
-  }
-  EamForceResult result;
-  result.embedding_energy = embed.energy;
-  result.pair_energy = forces.energy;
-  result.virial = forces.virial;
-  return result;
+    {
+      detail::PlainScatter<double> to_rho{rho.data()};
+      detail::sweep(n, nullptr, 0, [&](std::size_t i) { density(i, to_rho); });
+      detail::sweep(n, nullptr, 0, embed);
+      detail::PlainScatter<Vec3> to_force{force.data()};
+      detail::sweep(n, nullptr, 0,
+                    [&](std::size_t i) { forces(i, to_force); });
+    }
+    EamForceResult result;
+    result.embedding_energy = embed.energy;
+    result.pair_energy = forces.energy;
+    result.virial = forces.virial;
+    return result;
+  });
 }
 
 void EamForceComputer::reset_instrumentation() {

@@ -157,8 +157,8 @@ class EamForceComputer {
 
   /// Single-threaded reference evaluation into caller-owned scratch, used
   /// by the governor's periodic shadow validation and the conformance
-  /// suite: the uncached scalar rows with the same spline tables as
-  /// compute(), no timers/stats/profiler mutation. `list`
+  /// suite: the uncached scalar rows, evaluating the potential through the
+  /// same type as compute(), no timers/stats/profiler mutation. `list`
   /// must be a half list (every ladder strategy's mode, so the active
   /// list can be shared).
   EamForceResult compute_serial_reference(const Box& box,
@@ -172,8 +172,8 @@ class EamForceComputer {
   struct PairCache;
   struct SoaWorkspace;
 
-  /// Inline spline tables of the potential, or null (analytic potentials).
-  const EamSplineTables* spline_tables() const;
+  /// The potential's packed spline tables, or null when it has none.
+  const EamSplineTables* packed_tables() const;
 
   const EamPotential& potential_;
   EamForceConfig config_;

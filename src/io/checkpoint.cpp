@@ -360,6 +360,14 @@ Checkpoint parse_payload(const std::string& payload) {
     atoms.velocity[i] = v;
     atoms.image[i] = {ix, iy, iz};
   }
+  // Only whitespace may follow the table: rows beyond the declared count
+  // mean the count is wrong, and loading would silently drop atoms.
+  in >> std::ws;
+  if (in.peek() != std::char_traits<char>::eof()) {
+    throw ParseError("checkpoint: data after the declared " +
+                     std::to_string(count) + "-atom table" +
+                     at_offset(in, payload));
+  }
 
   Box box(lo, hi, {px, py, pz});
   return Checkpoint{System(box, std::move(atoms), mass), step};

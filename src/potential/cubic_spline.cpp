@@ -1,8 +1,5 @@
 #include "potential/cubic_spline.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace sdcmd {
@@ -82,14 +79,6 @@ void CubicSpline::build(const std::vector<double>& y, bool clamped,
   }
 }
 
-std::size_t CubicSpline::segment(double x, double& t) const {
-  double rel = (x - x0_) / dx_;
-  auto idx = static_cast<long>(std::floor(rel));
-  idx = std::clamp(idx, 0L, static_cast<long>(n_) - 2);
-  t = x - (x0_ + dx_ * static_cast<double>(idx));
-  return static_cast<std::size_t>(idx);
-}
-
 double CubicSpline::value(double x) const {
   double t;
   const std::size_t i = segment(x, t);
@@ -100,13 +89,6 @@ double CubicSpline::derivative(double x) const {
   double t;
   const std::size_t i = segment(x, t);
   return b_[i] + t * (2.0 * c_[i] + 3.0 * t * d_[i]);
-}
-
-void CubicSpline::evaluate(double x, double& value, double& derivative) const {
-  double t;
-  const std::size_t i = segment(x, t);
-  value = a_[i] + t * (b_[i] + t * (c_[i] + t * d_[i]));
-  derivative = b_[i] + t * (2.0 * c_[i] + 3.0 * t * d_[i]);
 }
 
 }  // namespace sdcmd

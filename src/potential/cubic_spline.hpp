@@ -11,39 +11,11 @@
 
 namespace sdcmd {
 
-/// POD view over a uniform-grid cubic spline's segment coefficients, for
-/// inner loops that cannot afford a virtual call per evaluation. The view
-/// borrows the owning CubicSpline's arrays; it stays valid as long as the
-/// spline is alive and unmodified. evaluate() mirrors CubicSpline::evaluate
-/// operation-for-operation so the two paths agree to the last bit modulo
-/// compiler FP contraction.
-struct SplineView {
-  const double* a = nullptr;
-  const double* b = nullptr;
-  const double* c = nullptr;
-  const double* d = nullptr;
-  double x0 = 0.0;
-  double dx = 1.0;
-  std::size_t segments = 0;  ///< sample count minus one
-
-  bool valid() const { return a != nullptr && segments > 0; }
-
-  void evaluate(double x, double& value, double& derivative) const {
-    const double rel = (x - x0) / dx;
-    auto idx = static_cast<long>(std::floor(rel));
-    idx = std::clamp(idx, 0L, static_cast<long>(segments) - 1);
-    const double t = x - (x0 + dx * static_cast<double>(idx));
-    const auto i = static_cast<std::size_t>(idx);
-    value = a[i] + t * (b[i] + t * (c[i] + t * d[i]));
-    derivative = b[i] + t * (2.0 * c[i] + 3.0 * t * d[i]);
-  }
-};
-
 /// Interval-indexed coefficient layout for vector lanes: one segment's four
 /// cubic coefficients sit contiguously at coef[4*i .. 4*i+3], so a SIMD
 /// lane's evaluation is an index computation plus one contiguous 32-byte
 /// load (or a 4-element gather) instead of four gathers from four arrays.
-/// The arithmetic mirrors SplineView::evaluate operation-for-operation, so
+/// The arithmetic mirrors CubicSpline::evaluate operation-for-operation, so
 /// the two layouts agree to the last bit modulo compiler FP contraction.
 struct PackedSplineView {
   const double* coef = nullptr;  ///< [a_i, b_i, c_i, d_i] per segment
@@ -88,24 +60,19 @@ class CubicSpline {
   /// First derivative at x.
   double derivative(double x) const;
 
-  /// Value and derivative in one lookup.
-  void evaluate(double x, double& value, double& derivative) const;
-
-  /// Borrowed coefficient view for devirtualized evaluation loops.
-  SplineView view() const {
-    SplineView v;
-    v.a = a_.data();
-    v.b = b_.data();
-    v.c = c_.data();
-    v.d = d_.data();
-    v.x0 = x0_;
-    v.dx = dx_;
-    v.segments = n_ - 1;
-    return v;
+  /// Value and derivative in one lookup. Defined here, and always
+  /// inlined, so the EAM force rows evaluate TabulatedEam without a call
+  /// (see TabulatedEam).
+  [[gnu::always_inline]] void evaluate(double x, double& value,
+                                       double& derivative) const {
+    double t;
+    const std::size_t i = segment(x, t);
+    value = a_[i] + t * (b_[i] + t * (c_[i] + t * d_[i]));
+    derivative = b_[i] + t * (2.0 * c_[i] + 3.0 * t * d_[i]);
   }
 
   /// Borrowed interval-indexed (interleaved) view for SIMD evaluation
-  /// loops; same coefficients as view(), packed 4-per-segment.
+  /// loops; the same coefficients, packed 4-per-segment.
   PackedSplineView packed_view() const {
     PackedSplineView v;
     v.coef = packed_.data();
@@ -123,7 +90,15 @@ class CubicSpline {
  private:
   void build(const std::vector<double>& values, bool clamped,
              double slope_begin, double slope_end);
-  std::size_t segment(double x, double& t) const;
+
+  /// Segment holding x (clamped to the table) and x's offset into it.
+  [[gnu::always_inline]] std::size_t segment(double x, double& t) const {
+    const double rel = (x - x0_) / dx_;
+    auto idx = static_cast<long>(std::floor(rel));
+    idx = std::clamp(idx, 0L, static_cast<long>(n_) - 2);
+    t = x - (x0_ + dx_ * static_cast<double>(idx));
+    return static_cast<std::size_t>(idx);
+  }
 
   double x0_;
   double dx_;

@@ -1,7 +1,6 @@
 #include "potential/finnis_sinclair.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -40,42 +39,8 @@ FinnisSinclair::FinnisSinclair(FinnisSinclairParams params)
   SDCMD_REQUIRE(p_.a > 0.0, "embedding amplitude must be positive");
 }
 
-void FinnisSinclair::pair(double r, double& energy, double& dvdr) const {
-  if (r >= p_.c) {
-    energy = 0.0;
-    dvdr = 0.0;
-    return;
-  }
-  const double t = r - p_.c;
-  const double poly = p_.c0 + r * (p_.c1 + r * p_.c2);
-  const double dpoly = p_.c1 + 2.0 * p_.c2 * r;
-  energy = t * t * poly;
-  dvdr = 2.0 * t * poly + t * t * dpoly;
-}
-
-void FinnisSinclair::density(double r, double& phi, double& dphidr) const {
-  if (r >= p_.d) {
-    phi = 0.0;
-    dphidr = 0.0;
-    return;
-  }
-  const double t = r - p_.d;
-  phi = t * t + p_.beta * t * t * t / p_.d;
-  dphidr = 2.0 * t + 3.0 * p_.beta * t * t / p_.d;
-}
-
-void FinnisSinclair::embed(double rho, double& f, double& dfdrho) const {
-  if (rho <= 0.0) {
-    // Isolated atom: F(0) = 0; clamp the square-root singularity in the
-    // derivative so integrators never see NaN when an atom drifts out of
-    // range of every neighbor.
-    f = 0.0;
-    dfdrho = 0.0;
-    return;
-  }
-  const double s = std::sqrt(rho);
-  f = -p_.a * s;
-  dfdrho = -0.5 * p_.a / s;
+std::string FinnisSinclair::name() const {
+  return "finnis-sinclair-" + p_.label;
 }
 
 }  // namespace sdcmd

@@ -15,6 +15,9 @@
 // conservation, force = -grad E) are enforced by the test suite.
 #pragma once
 
+#include <cmath>
+#include <string>
+
 #include "potential/potential.hpp"
 
 namespace sdcmd {
@@ -37,15 +40,59 @@ struct FinnisSinclairParams {
   static FinnisSinclairParams test_metal();
 };
 
+/// The evaluation bodies are defined in the class, and always inlined, so
+/// the EAM force rows, which take this type through visit_eam
+/// (potential/eam_visit.hpp), make no call per pair. (The rows are
+/// instantiated for every strategy and potential type; without the
+/// attribute GCC's unit-growth limit leaves some calls out of line.)
 class FinnisSinclair final : public EamPotential {
  public:
   explicit FinnisSinclair(FinnisSinclairParams params);
 
   double cutoff() const override { return cutoff_; }
-  void pair(double r, double& energy, double& dvdr) const override;
-  void density(double r, double& phi, double& dphidr) const override;
-  void embed(double rho, double& f, double& dfdrho) const override;
-  std::string name() const override { return "finnis-sinclair-" + p_.label; }
+
+  [[gnu::always_inline]] void pair(double r, double& energy,
+                                   double& dvdr) const override {
+    if (r >= p_.c) {
+      energy = 0.0;
+      dvdr = 0.0;
+      return;
+    }
+    const double t = r - p_.c;
+    const double poly = p_.c0 + r * (p_.c1 + r * p_.c2);
+    const double dpoly = p_.c1 + 2.0 * p_.c2 * r;
+    energy = t * t * poly;
+    dvdr = 2.0 * t * poly + t * t * dpoly;
+  }
+
+  [[gnu::always_inline]] void density(double r, double& phi,
+                                      double& dphidr) const override {
+    if (r >= p_.d) {
+      phi = 0.0;
+      dphidr = 0.0;
+      return;
+    }
+    const double t = r - p_.d;
+    phi = t * t + p_.beta * t * t * t / p_.d;
+    dphidr = 2.0 * t + 3.0 * p_.beta * t * t / p_.d;
+  }
+
+  [[gnu::always_inline]] void embed(double rho, double& f,
+                                    double& dfdrho) const override {
+    if (rho <= 0.0) {
+      // Isolated atom: F(0) = 0; clamp the square-root singularity in the
+      // derivative so integrators never see NaN when an atom drifts out of
+      // range of every neighbor.
+      f = 0.0;
+      dfdrho = 0.0;
+      return;
+    }
+    const double s = std::sqrt(rho);
+    f = -p_.a * s;
+    dfdrho = -0.5 * p_.a / s;
+  }
+
+  std::string name() const override;
 
   const FinnisSinclairParams& params() const { return p_; }
 

@@ -24,23 +24,15 @@
 
 namespace sdcmd {
 
-/// Flattened spline coefficients of a tabulated EAM potential, for
-/// devirtualized force-kernel inner loops (no virtual dispatch per pair).
-/// Analytic potentials expose no tables and keep the virtual path.
+/// Interval-indexed spline coefficients of a tabulated EAM potential, for
+/// RC's SIMD gather rows (core/detail/eam_soa.hpp): one contiguous
+/// 4-coefficient load per lane instead of four gathers; see
+/// PackedSplineView. Analytic potentials expose none, and RC then gathers
+/// through the scalar rows.
 struct EamSplineTables {
-  SplineView pair;
-  SplineView density;
-  SplineView embed;
-  // Interval-indexed (interleaved) duplicates of the same coefficients for
-  // SIMD lanes: one contiguous 4-coefficient load per evaluation instead of
-  // four gathers. Same knots, same arithmetic; see PackedSplineView.
   PackedSplineView pair_packed;
   PackedSplineView density_packed;
   PackedSplineView embed_packed;
-
-  bool valid() const {
-    return pair.valid() && density.valid() && embed.valid();
-  }
 
   bool packed_valid() const {
     return pair_packed.valid() && density_packed.valid() &&
@@ -81,10 +73,9 @@ class EamPotential {
   /// Embedding energy F(rho) and dF/drho.
   virtual void embed(double rho, double& f, double& dfdrho) const = 0;
 
-  /// Flattened spline tables for devirtualized inner loops, or nullptr for
-  /// analytic potentials (the kernels then evaluate through the virtual
-  /// interface). The returned pointer is owned by the potential and stays
-  /// valid for its lifetime.
+  /// Packed spline tables for the SIMD gather rows, or nullptr for
+  /// analytic potentials. The returned pointer is owned by the potential
+  /// and stays valid for its lifetime.
   virtual const EamSplineTables* spline_tables() const { return nullptr; }
 
   virtual std::string name() const = 0;

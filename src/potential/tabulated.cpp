@@ -53,32 +53,7 @@ TabulatedEam TabulatedEam::from_analytic(const EamPotential& source,
   return TabulatedEam(std::move(t));
 }
 
-void TabulatedEam::pair(double r, double& energy, double& dvdr) const {
-  if (r >= tables_.cutoff) {
-    energy = 0.0;
-    dvdr = 0.0;
-    return;
-  }
-  pair_spline_.evaluate(r, energy, dvdr);
-}
-
-void TabulatedEam::density(double r, double& phi, double& dphidr) const {
-  if (r >= tables_.cutoff) {
-    phi = 0.0;
-    dphidr = 0.0;
-    return;
-  }
-  density_spline_.evaluate(r, phi, dphidr);
-}
-
-void TabulatedEam::embed(double rho, double& f, double& dfdrho) const {
-  embed_spline_.evaluate(rho, f, dfdrho);
-}
-
 const EamSplineTables* TabulatedEam::spline_tables() const {
-  views_.pair = pair_spline_.view();
-  views_.density = density_spline_.view();
-  views_.embed = embed_spline_.view();
   views_.pair_packed = pair_spline_.packed_view();
   views_.density_packed = density_spline_.packed_view();
   views_.embed_packed = embed_spline_.packed_view();

@@ -32,6 +32,10 @@ struct EamTables {
   std::string structure = "bcc";
 };
 
+/// The evaluation bodies (and CubicSpline::evaluate beneath them) are
+/// defined in headers and always inlined, as FinnisSinclair's are, so the
+/// EAM force rows, which take this type through visit_eam
+/// (potential/eam_visit.hpp), make no call per pair.
 class TabulatedEam final : public EamPotential {
  public:
   explicit TabulatedEam(EamTables tables);
@@ -44,9 +48,32 @@ class TabulatedEam final : public EamPotential {
                                     double rho_max);
 
   double cutoff() const override { return tables_.cutoff; }
-  void pair(double r, double& energy, double& dvdr) const override;
-  void density(double r, double& phi, double& dphidr) const override;
-  void embed(double rho, double& f, double& dfdrho) const override;
+
+  [[gnu::always_inline]] void pair(double r, double& energy,
+                                   double& dvdr) const override {
+    if (r >= tables_.cutoff) {
+      energy = 0.0;
+      dvdr = 0.0;
+      return;
+    }
+    pair_spline_.evaluate(r, energy, dvdr);
+  }
+
+  [[gnu::always_inline]] void density(double r, double& phi,
+                                      double& dphidr) const override {
+    if (r >= tables_.cutoff) {
+      phi = 0.0;
+      dphidr = 0.0;
+      return;
+    }
+    density_spline_.evaluate(r, phi, dphidr);
+  }
+
+  [[gnu::always_inline]] void embed(double rho, double& f,
+                                    double& dfdrho) const override {
+    embed_spline_.evaluate(rho, f, dfdrho);
+  }
+
   const EamSplineTables* spline_tables() const override;
   std::string name() const override { return "tabulated-" + tables_.label; }
 

@@ -613,13 +613,15 @@ WireMessage SessionServer::op_step(const WireMessage& request) {
   if (steps <= 0) {
     return make_error("bad_request", "steps must be positive");
   }
-  const long pending = session->enqueue_steps(static_cast<long>(steps));
+  // Step and pending come from the enqueue itself: reading status() after
+  // schedule() would wait for the quantum a worker may already be running
+  // and report a step past the one the budget was added at.
+  const StepBudget budget = session->enqueue_steps(static_cast<long>(steps));
   schedule(session);
-  const SessionStatus status = session->status();
   WireMessage r = make_ok();
   r.set("id", id);
-  r.set("step", status.step);
-  r.set("pending", pending);
+  r.set("step", budget.step);
+  r.set("pending", budget.pending);
   return r;
 }
 

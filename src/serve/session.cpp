@@ -306,7 +306,7 @@ SessionStatus Session::status() const {
   return s;
 }
 
-long Session::enqueue_steps(long steps) {
+StepBudget Session::enqueue_steps(long steps) {
   SDCMD_REQUIRE(steps > 0, "step count must be positive");
   std::lock_guard<std::mutex> lock(mutex_);
   if (sim_ == nullptr) {
@@ -315,7 +315,7 @@ long Session::enqueue_steps(long steps) {
   }
   pending_ += steps;
   state_ = SessionState::Running;
-  return pending_;
+  return StepBudget{sim_->current_step(), pending_};
 }
 
 void Session::pause() {

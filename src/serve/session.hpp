@@ -103,6 +103,14 @@ struct SessionStatus {
   std::string strategy;  ///< active rung, or "fixed"/"suspended"
 };
 
+/// A step op's answer, read under the session mutex as the budget is
+/// added: the session stands at `step`, and reaches `step + pending` once
+/// its budget drains.
+struct StepBudget {
+  long step = 0;
+  long pending = 0;  ///< steps still to run, the new ones included
+};
+
 /// What one scheduler quantum did (the server folds these into serve.*).
 struct QuantumResult {
   long steps_done = 0;
@@ -138,9 +146,9 @@ class Session {
   bool runnable() const;
 
   /// Add steps to the pending budget (waking a Paused session). Returns
-  /// the new pending count. Throws Error when Suspended/Quarantined (the
-  /// client must resume first).
-  long enqueue_steps(long steps);
+  /// the step and the new pending count as of the add. Throws Error when
+  /// Suspended/Quarantined (the client must resume first).
+  StepBudget enqueue_steps(long steps);
 
   /// Halt stepping after the in-flight quantum; pending budget is kept.
   void pause();

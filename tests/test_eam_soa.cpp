@@ -256,10 +256,11 @@ TEST(PaddedTileTest, UnpaddedListsEmitNoTiles) {
   EXPECT_EQ(list.pad_fraction(), 0.0);
 }
 
-TEST(PackedSplineTest, PackedMatchesSplineViewAcrossKnots) {
+TEST(PackedSplineTest, PackedMatchesCubicSplineAcrossKnots) {
   // A non-trivial curve sampled on a uniform grid; the packed layout must
-  // agree with the four-array SplineView everywhere, in particular at and
-  // around segment boundaries and outside the table (clamped segments).
+  // agree with CubicSpline::evaluate (the scalar rows' path) everywhere,
+  // in particular at and around segment boundaries and outside the table
+  // (clamped segments).
   const double x0 = 1.5, dx = 0.25;
   const std::size_t n = 64;
   std::vector<double> values(n);
@@ -268,10 +269,9 @@ TEST(PackedSplineTest, PackedMatchesSplineViewAcrossKnots) {
     values[i] = std::sin(1.7 * x) / x + 0.03 * x * x;
   }
   CubicSpline spline(x0, dx, values);
-  const SplineView ref = spline.view();
   const PackedSplineView packed = spline.packed_view();
   ASSERT_TRUE(packed.valid());
-  ASSERT_EQ(packed.segments, ref.segments);
+  ASSERT_EQ(packed.segments, spline.size() - 1);
 
   std::vector<double> xs;
   for (std::size_t i = 0; i < n; ++i) {
@@ -285,7 +285,7 @@ TEST(PackedSplineTest, PackedMatchesSplineViewAcrossKnots) {
   xs.push_back(x0 + dx * static_cast<double>(n) + 2.0);    // above: clamped
   for (const double x : xs) {
     double v_ref, d_ref, v_packed, d_packed;
-    ref.evaluate(x, v_ref, d_ref);
+    spline.evaluate(x, v_ref, d_ref);
     packed.evaluate(x, v_packed, d_packed);
     EXPECT_DOUBLE_EQ(v_ref, v_packed) << "value differs at x=" << x;
     EXPECT_DOUBLE_EQ(d_ref, d_packed) << "derivative differs at x=" << x;
@@ -298,14 +298,15 @@ TEST(PackedSplineTest, TabulatedEamExposesPackedTables) {
   const EamSplineTables* tables = tab.spline_tables();
   ASSERT_NE(tables, nullptr);
   ASSERT_TRUE(tables->packed_valid());
-  // Spot-check: packed and four-array views agree through the table.
+  // Spot-check: the packed tables agree with the potential's own
+  // evaluation (CubicSpline::evaluate below the cutoff).
   for (double r = 1.0; r < fe.cutoff(); r += 0.0371) {
     double v_a, d_a, v_b, d_b;
-    tables->pair.evaluate(r, v_a, d_a);
+    tab.pair(r, v_a, d_a);
     tables->pair_packed.evaluate(r, v_b, d_b);
     EXPECT_DOUBLE_EQ(v_a, v_b);
     EXPECT_DOUBLE_EQ(d_a, d_b);
-    tables->density.evaluate(r, v_a, d_a);
+    tab.density(r, v_a, d_a);
     tables->density_packed.evaluate(r, v_b, d_b);
     EXPECT_DOUBLE_EQ(v_a, v_b);
     EXPECT_DOUBLE_EQ(d_a, d_b);

@@ -369,6 +369,26 @@ TEST(Checkpoint, LegacyV1StillLoads) {
   EXPECT_DOUBLE_EQ(c.system.atoms().position[0].y, 2.0);
 }
 
+TEST(Checkpoint, LegacyRowsBeyondTheDeclaredCountAreRejected) {
+  // A v2 file whose footer matches but whose count is smaller than its
+  // table: loading it would silently drop the second atom.
+  const std::string body =
+      "step 3\nmass 55.845\n"
+      "box 0 0 0 10 10 10 1 1 1\natoms 1\n"
+      "0 1 2 3 0.1 0.2 0.3 0 0 0\n"
+      "1 4 5 6 0.4 0.5 0.6 0 0 0\n";
+  const std::string payload = "sdcmd-checkpoint 2\n" + body;
+  EXPECT_THROW(load_bytes(payload + footer_for(payload)), ParseError);
+  // v1 has no footer; the same table is rejected by the parser alone.
+  EXPECT_THROW(load_bytes("sdcmd-checkpoint 1\n" + body), ParseError);
+  // Trailing whitespace after a complete table is fine.
+  const std::string padded =
+      "sdcmd-checkpoint 2\nstep 3\nmass 55.845\n"
+      "box 0 0 0 10 10 10 1 1 1\natoms 1\n"
+      "0 1 2 3 0.1 0.2 0.3 0 0 0\n\n  \n";
+  EXPECT_EQ(load_bytes(padded + footer_for(padded)).system.size(), 1u);
+}
+
 TEST(Checkpoint, HugeAtomCountFailsFastOnTruncatedFile) {
   // The declared count exceeds the rows present: must fail before trying
   // to read (or allocate) a billion atoms.

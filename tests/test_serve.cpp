@@ -208,7 +208,9 @@ TEST_F(ServeTest, SessionLifecycleStepsSuspendsAndResumesWithProof) {
   EXPECT_FALSE(status.resumed);
   EXPECT_LT(status.continuity_rel, 0.0);  // fresh create: nothing proven
 
-  EXPECT_EQ(session->enqueue_steps(25), 25);
+  const StepBudget budget = session->enqueue_steps(25);
+  EXPECT_EQ(budget.step, 0);
+  EXPECT_EQ(budget.pending, 25);
   EXPECT_EQ(session->state(), SessionState::Running);
   QuantumResult result;
   for (int i = 0; i < 3; ++i) result = session->run_quantum();
@@ -396,6 +398,54 @@ TEST_F(ServeTest, ServerEndToEndWithAdmissionControl) {
   r = client.request_op("metrics");
   ASSERT_TRUE(r.get_bool("ok", false));
   EXPECT_GE(r.get_double("serve.ops", 0.0), 5.0);
+
+  EXPECT_TRUE(client.request_op("drain").get_bool("ok", false));
+  EXPECT_EQ(server.wait(), SessionServer::Outcome::Drained);
+}
+
+TEST_F(ServeTest, StepRepliesAddUpToTheStepTheBudgetDrainsAt) {
+  // A step reply's step + pending is where the session stands once the
+  // budget drains. Each op adds more one-step quanta than the client can
+  // send ops in the meantime, so a worker keeps taking the session mutex
+  // every few microseconds while the ops land: a reply that read its step
+  // after scheduling would now and then also count a quantum run since
+  // the add.
+  const std::string dir = scratch_dir("step_replies");
+  ServerConfig config;
+  config.socket_path = dir + "/sv.sock";
+  config.root = dir + "/sessions";
+  config.max_sessions = 1;
+  config.workers = 2;
+  config.session.quantum_steps = 1;
+  config.session.watchdog_factor = 0.0;  // timing noise must not quarantine
+  SessionServer server(config);
+  server.start();
+
+  ClientConfig ccfg;
+  ccfg.socket_path = config.socket_path;
+  ServeClient client(ccfg);
+  WireMessage create;
+  create.set("op", "create");
+  create.set("id", "q");
+  create.set("cells", 3);
+  ASSERT_TRUE(client.request(create).get_bool("ok", false));
+
+  WireMessage step;
+  step.set("op", "step");
+  step.set("id", "q");
+  step.set("steps", 20);
+  std::int64_t added = 0;
+  for (int k = 0; k < 1000; ++k) {
+    const WireMessage r = client.request(step);
+    ASSERT_TRUE(r.get_bool("ok", false)) << r.serialize();
+    added += 20;
+    EXPECT_EQ(r.get_int("step", -1) + r.get_int("pending", -1), added)
+        << "reply " << k << ": " << r.serialize();
+  }
+  ASSERT_TRUE(eventually([&] {
+    return client.request_op("status", "q").get_string("state") == "paused";
+  })) << client.request_op("status", "q").serialize();
+  EXPECT_EQ(client.request_op("status", "q").get_int("step", -1), added);
 
   EXPECT_TRUE(client.request_op("drain").get_bool("ok", false));
   EXPECT_EQ(server.wait(), SessionServer::Outcome::Drained);

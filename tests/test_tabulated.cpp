@@ -91,20 +91,22 @@ TEST(TabulatedEam, FromAnalyticRejectsDegenerateGrids) {
 }
 
 TEST(TabulatedEam, SplineTablesMatchVirtualDispatch) {
-  // The force kernels evaluate TabulatedEam through its flattened
-  // SplineView tables inline instead of the virtual interface; both must
-  // give the same values and slopes everywhere the kernels look - across
-  // the radial range (including knots and the cutoff) and the density
-  // range.
+  // The force rows evaluate TabulatedEam through its inline bodies, which
+  // are CubicSpline::evaluate below the cutoff; calls through the
+  // EamPotential interface must give the same values and slopes
+  // everywhere the rows look - across the radial range (including knots
+  // and the cutoff) and the density range.
   const FinnisSinclair fe(FinnisSinclairParams::iron());
   const TabulatedEam tab = TabulatedEam::from_analytic(fe, 2000, 2000, 60.0);
-  const EamSplineTables* tables = tab.spline_tables();
-  ASSERT_NE(tables, nullptr);
-  ASSERT_TRUE(tables->valid());
-  auto expect_same = [](const SplineView& view, double x, double v_virtual,
+  const EamPotential& virtual_tab = tab;
+  const EamTables& t = tab.tables();
+  const CubicSpline pair(0.0, t.dr, t.pair);
+  const CubicSpline density(0.0, t.dr, t.density);
+  const CubicSpline embed(0.0, t.drho, t.embed);
+  auto expect_same = [](const CubicSpline& spline, double x, double v_virtual,
                         double d_virtual) {
     double v, d;
-    view.evaluate(x, v, d);
+    spline.evaluate(x, v, d);
     EXPECT_NEAR(v, v_virtual, 1e-12 * std::max(1.0, std::abs(v_virtual)))
         << "value at " << x;
     EXPECT_NEAR(d, d_virtual, 1e-12 * std::max(1.0, std::abs(d_virtual)))
@@ -112,15 +114,15 @@ TEST(TabulatedEam, SplineTablesMatchVirtualDispatch) {
   };
   for (double r = 1.5; r < tab.cutoff(); r += 0.00731) {
     double v, d;
-    tab.pair(r, v, d);
-    expect_same(tables->pair, r, v, d);
-    tab.density(r, v, d);
-    expect_same(tables->density, r, v, d);
+    virtual_tab.pair(r, v, d);
+    expect_same(pair, r, v, d);
+    virtual_tab.density(r, v, d);
+    expect_same(density, r, v, d);
   }
   for (double rho = 0.0; rho < 60.0; rho += 0.0917) {
     double f, d;
-    tab.embed(rho, f, d);
-    expect_same(tables->embed, rho, f, d);
+    virtual_tab.embed(rho, f, d);
+    expect_same(embed, rho, f, d);
   }
 }
 
