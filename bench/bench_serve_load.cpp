@@ -49,6 +49,14 @@ obs::BenchReport::Row latency_row(const std::string& name,
           {"feasible", obs::JsonValue(feasible)}};
 }
 
+/// Session id "b<i>". Built by appending: GCC 12 reports a false
+/// -Wrestrict overlap inside the operator+ of a literal and a temporary.
+std::string session_id(int i) {
+  std::string id = "b";
+  id += std::to_string(i);
+  return id;
+}
+
 /// Time one request round-trip in milliseconds.
 template <typename Fn>
 double timed_ms(Fn&& fn) {
@@ -107,7 +115,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < sessions; ++i) {
       serve::WireMessage create;
       create.set("op", "create");
-      create.set("id", "b" + std::to_string(i));
+      create.set("id", session_id(i));
       create.set("cells", cli.get_int("cells"));
       create.set("seed", 1000 + i);
       const serve::WireMessage r = client.request(create);
@@ -119,7 +127,7 @@ int main(int argc, char** argv) {
     const auto step_session = [&](int i, long steps) {
       serve::WireMessage msg;
       msg.set("op", "step");
-      msg.set("id", "b" + std::to_string(i % sessions));
+      msg.set("id", session_id(i % sessions));
       msg.set("steps", steps);
       return client.request(msg);
     };
@@ -139,10 +147,10 @@ int main(int argc, char** argv) {
     for (int i = 0; i < ops; ++i) {
       if (i % 16 == 0) refresh_budgets();
       status_lat.ms.push_back(timed_ms(
-          [&] { client.request_op("status", "b" + std::to_string(i % sessions)); }));
+          [&] { client.request_op("status", session_id(i % sessions)); }));
       step_lat.ms.push_back(timed_ms([&] { step_session(i, 1); }));
       snapshot_lat.ms.push_back(timed_ms(
-          [&] { client.snapshot("b" + std::to_string(i % sessions), frame); }));
+          [&] { client.snapshot(session_id(i % sessions), frame); }));
     }
     report.add_result(latency_row("status", status_lat, true));
     report.add_result(latency_row("step", step_lat, true));

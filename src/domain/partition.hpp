@@ -14,7 +14,12 @@
 //
 // The partition is rebuilt whenever the neighbor list is rebuilt (the paper:
 // "steps 1 and 2 will be done when the neighbor list is created or
-// updated"), so its cost amortizes over many time steps.
+// updated"), so its cost amortizes over many time steps. The build is the
+// cell list's parallel counting sort: per-thread histograms over slots, one
+// exclusive scan over (slot, thread), then a scatter of each thread's
+// contiguous atom chunk. Atoms stay ascending within each slot, so pstart
+// and partindex are bitwise the same for any team size, and the scratch is
+// persistent, sized on the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +36,8 @@ class Partition {
   Partition(const SpatialDecomposition& decomposition,
             const Coloring& coloring);
 
-  /// (Re)assign atoms to subdomains from their current positions.
+  /// (Re)assign atoms to subdomains from their current positions
+  /// (atoms ascending within each subdomain).
   void build(std::span<const Vec3> positions);
 
   int color_count() const { return color_count_; }
@@ -73,6 +79,9 @@ class Partition {
   std::vector<std::size_t> slot_of_subdomain_; // flat subdomain -> slot
   std::vector<std::size_t> pstart_;            // per slot, atom offsets
   std::vector<std::uint32_t> partindex_;       // atom ids grouped by slot
+  // Persistent build scratch (allocation-free once warm).
+  std::vector<std::uint32_t> slot_of_atom_;    // atom -> slot
+  std::vector<std::size_t> hist_;              // threads x slots counts
 };
 
 }  // namespace sdcmd

@@ -53,7 +53,10 @@ std::size_t CellList::flat_index(int ix, int iy, int iz) const {
 }
 
 std::size_t CellList::cell_of(const Vec3& r) const {
-  const Vec3 w = box_.wrap(r);
+  return cell_of_wrapped(wrapped(r));
+}
+
+std::size_t CellList::cell_of_wrapped(const Vec3& w) const {
   int idx[3];
   for (int d = 0; d < 3; ++d) {
     auto i = static_cast<int>((w[d] - box_.lo()[d]) / cell_len_[d]);
@@ -63,47 +66,36 @@ std::size_t CellList::cell_of(const Vec3& r) const {
 }
 
 void CellList::build(std::span<const Vec3> positions, bool parallel) {
-  cell_of_atom_.resize(positions.size());
-  cell_atoms_.resize(positions.size());
-  cell_start_.assign(cell_count() + 1, 0);
-  if (parallel && positions.size() >= kParallelBinThreshold &&
-      max_threads() > 1) {
-    build_parallel(positions);
-  } else {
-    build_serial(positions);
-  }
-}
-
-void CellList::build_serial(std::span<const Vec3> positions) {
-  const std::size_t cells = cell_count();
-  // Histogram slice 0 doubles as the per-cell write cursor.
-  if (hist_.size() < cells) hist_.resize(cells);
-  std::fill_n(hist_.begin(), cells, 0u);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    const auto c = static_cast<std::uint32_t>(cell_of(positions[i]));
-    cell_of_atom_[i] = c;
-    ++hist_[c];
-  }
-  for (std::size_t c = 0; c < cells; ++c) {
-    cell_start_[c + 1] = cell_start_[c] + hist_[c];
-    hist_[c] = cell_start_[c];
-  }
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    cell_atoms_[hist_[cell_of_atom_[i]]++] = static_cast<std::uint32_t>(i);
-  }
-}
-
-void CellList::build_parallel(std::span<const Vec3> positions) {
-  const std::size_t cells = cell_count();
   const std::size_t n = positions.size();
-  const auto slots = static_cast<std::size_t>(max_threads());
+  cell_of_atom_.resize(n);
+  cell_atoms_.resize(n);
+  slot_of_atom_.resize(n);
+  slot_x_.resize(n);
+  slot_y_.resize(n);
+  slot_z_.resize(n);
+  cell_start_.resize(cell_count() + 1);
+  // The runs keep integer image codes; the shifts follow the current box.
+  const Vec3& len = box_.lengths();
+  for (int sx = -1; sx <= 1; ++sx) {
+    for (int sy = -1; sy <= 1; ++sy) {
+      for (int sz = -1; sz <= 1; ++sz) {
+        image_shift_[static_cast<std::size_t>(image_code(sx, sy, sz))] = {
+            len.x * sx, len.y * sy, len.z * sz};
+      }
+    }
+  }
+  const std::size_t cells = cell_count();
+  const bool fan_out =
+      parallel && n >= kParallelBinThreshold && max_threads() > 1;
+  const auto slots = static_cast<std::size_t>(fan_out ? max_threads() : 1);
   if (hist_.size() < slots * cells) hist_.resize(slots * cells);
-#pragma omp parallel
+#pragma omp parallel if (fan_out)
   {
     const auto t = static_cast<std::size_t>(thread_id());
     const auto team = static_cast<std::size_t>(omp_get_num_threads());
     // Contiguous ascending chunks make the scatter below reproduce the
-    // serial order (atoms ascending within each cell) for any team size.
+    // one-thread order (atoms ascending within each cell) for any team
+    // size.
     const std::size_t chunk = (n + team - 1) / team;
     const std::size_t begin = std::min(t * chunk, n);
     const std::size_t end = std::min(begin + chunk, n);
@@ -132,7 +124,7 @@ void CellList::build_parallel(std::span<const Vec3> positions) {
     }
 #pragma omp barrier
     for (std::size_t i = begin; i < end; ++i) {
-      cell_atoms_[mine[cell_of_atom_[i]]++] = static_cast<std::uint32_t>(i);
+      place(i, mine[cell_of_atom_[i]]++, positions[i]);
     }
   }
 }
@@ -144,71 +136,91 @@ std::span<const std::uint32_t> CellList::atoms_in(std::size_t cell) const {
   return {cell_atoms_.data() + begin, cell_atoms_.data() + end};
 }
 
-std::span<const std::size_t> CellList::stencil(std::size_t cell) const {
+std::span<const StencilRun> CellList::runs(std::size_t cell) const {
   SDCMD_REQUIRE(cell < cell_count(), "cell index out of range");
-  return {stencil_cells_.data() + stencil_start_[cell],
-          stencil_cells_.data() + stencil_start_[cell + 1]};
+  return {runs_.data() + run_start_[2 * cell],
+          runs_.data() + run_start_[2 * cell + 1]};
 }
 
-std::span<const std::size_t> CellList::half_stencil(std::size_t cell) const {
+std::span<const StencilRun> CellList::half_runs(std::size_t cell) const {
   SDCMD_REQUIRE(cell < cell_count(), "cell index out of range");
-  return {half_cells_.data() + half_start_[cell],
-          half_cells_.data() + half_start_[cell + 1]};
+  return {runs_.data() + run_start_[2 * cell + 1],
+          runs_.data() + run_start_[2 * cell + 2]};
 }
 
 void CellList::build_stencils() {
   ++stencil_rebuilds_;
   const std::size_t cells = cell_count();
-  stencil_start_.assign(cells + 1, 0);
-  half_start_.assign(cells + 1, 0);
-  stencil_cells_.clear();
-  half_cells_.clear();
-  stencil_cells_.reserve(cells * 27);
-  half_cells_.reserve(cells * 13);
-  std::vector<std::size_t> scratch;
-  scratch.reserve(27);
+  run_start_.assign(2 * cells + 1, 0);
+  runs_.clear();
+  // One stencil entry: a neighbor cell and the image it is seen through.
+  struct Entry {
+    std::uint32_t cell;
+    std::uint16_t image;
+  };
+  std::array<Entry, 27> entries{};
+  // Appends entries [first, last) as runs: an entry extends the previous
+  // run when it is the next cell in flat order, seen through the same
+  // image.
+  auto append_runs = [&](const Entry* first, const Entry* last) {
+    const std::size_t own = runs_.size();
+    for (const Entry* e = first; e != last; ++e) {
+      if (runs_.size() > own) {
+        StencilRun& prev = runs_.back();
+        if (prev.image == e->image && prev.first + prev.cells == e->cell) {
+          ++prev.cells;
+          continue;
+        }
+      }
+      runs_.push_back({e->cell, 1, e->image});
+    }
+  };
   for (int ix = 0; ix < n_[0]; ++ix) {
     for (int iy = 0; iy < n_[1]; ++iy) {
       for (int iz = 0; iz < n_[2]; ++iz) {
         const std::size_t cell = flat_index(ix, iy, iz);
-        scratch.clear();
+        std::size_t count = 0;
         for (int dx = -1; dx <= 1; ++dx) {
           for (int dy = -1; dy <= 1; ++dy) {
             for (int dz = -1; dz <= 1; ++dz) {
               int idx[3] = {ix + dx, iy + dy, iz + dz};
+              int image[3] = {0, 0, 0};
               bool valid = true;
               for (int d = 0; d < 3; ++d) {
-                if (idx[d] < 0 || idx[d] >= n_[d]) {
-                  if (box_.periodic(d)) {
-                    idx[d] = (idx[d] + n_[d]) % n_[d];
-                  } else {
-                    valid = false;
-                    break;
-                  }
+                if (idx[d] >= 0 && idx[d] < n_[d]) continue;
+                if (!box_.periodic(d)) {
+                  valid = false;
+                  break;
                 }
+                // Wrapped from below: the cell's atoms are seen one edge
+                // lower (x_j - L); from above, one edge higher.
+                image[d] = idx[d] < 0 ? -1 : 1;
+                idx[d] -= image[d] * n_[d];
               }
               if (!valid) continue;
-              scratch.push_back(flat_index(idx[0], idx[1], idx[2]));
+              entries[count++] = {
+                  static_cast<std::uint32_t>(
+                      flat_index(idx[0], idx[1], idx[2])),
+                  static_cast<std::uint16_t>(
+                      image_code(image[0], image[1], image[2]))};
             }
           }
         }
-        // Narrow periodic grids wrap several stencil offsets onto the same
-        // cell; deduplicate so pair enumeration never double-counts.
-        std::sort(scratch.begin(), scratch.end());
-        scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                      scratch.end());
-        stencil_cells_.insert(stencil_cells_.end(), scratch.begin(),
-                              scratch.end());
-        stencil_start_[cell + 1] =
-            static_cast<std::uint32_t>(stencil_cells_.size());
-        // Full stencils are symmetric, so keeping only the
-        // greater-flat-index side assigns every adjacent cell pair to
-        // exactly one owner (and drops the cell itself).
-        for (std::size_t other : scratch) {
-          if (other > cell) half_cells_.push_back(other);
-        }
-        half_start_[cell + 1] =
-            static_cast<std::uint32_t>(half_cells_.size());
+        // Ascending flat order is the order the rows list neighbors in.
+        std::sort(entries.begin(), entries.begin() + count,
+                  [](const Entry& a, const Entry& b) {
+                    return a.cell != b.cell ? a.cell < b.cell
+                                            : a.image < b.image;
+                  });
+        append_runs(entries.data(), entries.data() + count);
+        run_start_[2 * cell + 1] = static_cast<std::uint32_t>(runs_.size());
+        // The half stencil starts at the cell itself: periodic axes have
+        // at least 2 cells, so no other offset lands on it.
+        const Entry* self = std::find_if(
+            entries.data(), entries.data() + count,
+            [&](const Entry& e) { return e.cell >= cell; });
+        append_runs(self, entries.data() + count);
+        run_start_[2 * cell + 2] = static_cast<std::uint32_t>(runs_.size());
       }
     }
   }
@@ -217,10 +229,10 @@ void CellList::build_stencils() {
 std::size_t CellList::memory_bytes() const {
   return cell_start_.size() * sizeof(std::uint32_t) +
          cell_atoms_.size() * sizeof(std::uint32_t) +
-         stencil_start_.size() * sizeof(std::uint32_t) +
-         stencil_cells_.size() * sizeof(std::size_t) +
-         half_start_.size() * sizeof(std::uint32_t) +
-         half_cells_.size() * sizeof(std::size_t) +
+         (slot_x_.size() + slot_y_.size() + slot_z_.size()) * sizeof(double) +
+         slot_of_atom_.size() * sizeof(std::uint32_t) +
+         run_start_.size() * sizeof(std::uint32_t) +
+         runs_.size() * sizeof(StencilRun) +
          cell_of_atom_.size() * sizeof(std::uint32_t) +
          hist_.size() * sizeof(std::uint32_t);
 }

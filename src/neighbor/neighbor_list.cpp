@@ -29,38 +29,50 @@ NeighborList::NeighborList(const Box& box, NeighborListConfig config)
 }
 
 // One row per atom, specialized per mode so the hot loop carries no
-// per-pair mode test:
-//   Half : intra-cell j > i, plus every atom of the <=13 owned
-//          (greater-flat-index) neighbor cells. Each cross-cell pair is
-//          stored under the atom in the lower-index cell; intra-cell pairs
-//          under min(i, j).
-//   Full : full stencil scan, skip only j == i.
-// Appends atom i's row to out[used, cap); false when it does not fit.
+// per-pair mode test. Candidates come from the stencil runs of atom i's
+// cell, each a contiguous range of cell-order slots seen through one
+// periodic image s, tested as dr = (x_i - x_j) - L*s per axis. For a pair
+// within range that is the arithmetic Box::minimum_image does, so rows are
+// bitwise those of a minimum-image scan over the same cells.
+//   Half : the half runs. The first one starts at i's own cell, where only
+//          the slots after i's (greater ids) pair with it. Each cross-cell
+//          pair is stored under the atom in the lower-index cell;
+//          intra-cell pairs under min(i, j).
+//   Full : the full runs, skipping only i's own slot.
+// The append is branchless: every candidate is written and the cursor
+// advances only past kept ones, so a run fits only when the buffer has
+// room for all its candidates. Appends atom i's row to out[used, cap);
+// false when it does not fit.
 template <NeighborMode Mode>
-bool NeighborList::append_row(std::size_t i, std::span<const Vec3> positions,
-                              double range2, std::uint32_t* out,
-                              std::size_t cap, std::size_t& used) const {
-  const Vec3 xi = positions[i];
+bool NeighborList::append_row(std::size_t i, double range2,
+                              std::uint32_t* out, std::size_t cap,
+                              std::size_t& used) const {
+  const double* xs = cells_.slot_x();
+  const double* ys = cells_.slot_y();
+  const double* zs = cells_.slot_z();
+  const std::uint32_t* ids = cells_.slot_atoms();
+  const std::size_t si = cells_.slot_of(i);
+  const double xi = xs[si];
+  const double yi = ys[si];
+  const double zi = zs[si];
   const std::size_t ci = cells_.binned_cell(i);
-  auto keep = [&](std::uint32_t j) {
-    if (!(box_.distance2(xi, positions[j]) < range2)) return true;
-    if (used == cap) return false;
-    out[used++] = j;
-    return true;
-  };
-  if constexpr (Mode == NeighborMode::Half) {
-    for (std::uint32_t j : cells_.atoms_in(ci)) {
-      if (j > i && !keep(j)) return false;
-    }
-    for (std::size_t cj : cells_.half_stencil(ci)) {
-      for (std::uint32_t j : cells_.atoms_in(cj)) {
-        if (!keep(j)) return false;
-      }
-    }
-  } else {
-    for (std::size_t cj : cells_.stencil(ci)) {
-      for (std::uint32_t j : cells_.atoms_in(cj)) {
-        if (j != i && !keep(j)) return false;
+  const auto runs =
+      Mode == NeighborMode::Half ? cells_.half_runs(ci) : cells_.runs(ci);
+  for (const StencilRun& run : runs) {
+    const std::size_t begin = Mode == NeighborMode::Half && &run == &runs[0]
+                                  ? si + 1
+                                  : cells_.cell_begin(run.first);
+    const std::size_t end = cells_.cell_begin(run.first + run.cells);
+    if (cap - used < end - begin) return false;
+    const Vec3& s = cells_.image_shift(run.image);
+    for (std::size_t k = begin; k < end; ++k) {
+      const Vec3 dr{(xi - xs[k]) - s.x, (yi - ys[k]) - s.y,
+                    (zi - zs[k]) - s.z};
+      out[used] = ids[k];
+      if constexpr (Mode == NeighborMode::Half) {
+        used += norm2(dr) < range2;
+      } else {
+        used += (norm2(dr) < range2) & (k != si);
       }
     }
   }
@@ -91,8 +103,7 @@ void NeighborList::reserve_chunks(double per_atom) {
 }
 
 template <NeighborMode Mode>
-bool NeighborList::enumerate_and_compact(std::span<const Vec3> positions,
-                                         double range2,
+bool NeighborList::enumerate_and_compact(double range2,
                                          double& enumerated_at) {
   const std::size_t n = neigh_len_.size();
   const std::size_t count = chunks_.size();
@@ -113,7 +124,7 @@ bool NeighborList::enumerate_and_compact(std::span<const Vec3> positions,
       std::size_t used = chunk.used;
       for (; i < end; ++i) {
         const std::size_t row = used;
-        if (!append_row<Mode>(i, positions, range2, out, cap, used)) {
+        if (!append_row<Mode>(i, range2, out, cap, used)) {
           used = row;
           break;
         }
@@ -195,10 +206,8 @@ void NeighborList::build(std::span<const Vec3> positions) {
 
   double t2 = t1;
   while (!(config_.mode == NeighborMode::Full
-               ? enumerate_and_compact<NeighborMode::Full>(positions, range2,
-                                                           t2)
-               : enumerate_and_compact<NeighborMode::Half>(positions, range2,
-                                                           t2))) {
+               ? enumerate_and_compact<NeighborMode::Full>(range2, t2)
+               : enumerate_and_compact<NeighborMode::Half>(range2, t2))) {
     // A chunk outgrew its estimate: double its buffer, keeping the rows
     // already enumerated, and resume it where it stopped.
     for (std::size_t c = 0; c < chunks_.size(); ++c) {

@@ -5,7 +5,9 @@
 // to the other atom - exactly the irregular reduction the paper studies.
 // The build walks each cell's half stencil, so a pair is stored under
 // whichever atom's cell owns the cell pair (intra-cell pairs under
-// min(i, j)); kernels only rely on each pair appearing once.
+// min(i, j)); kernels only rely on each pair appearing once. Candidates are
+// read from the cell list's cell-order position copy, one stencil run (a
+// contiguous slot range seen through one periodic image) at a time.
 // A *full* list stores the pair under both atoms; kernels become pure
 // gathers with no write conflicts at the price of doubled computation - the
 // paper's "Redundant Computations" baseline.
@@ -56,7 +58,8 @@ struct NeighborBuildStats {
   std::size_t builds = 0;           ///< build() calls
   std::size_t grid_reshapes = 0;    ///< update_box() calls that reshaped
   std::size_t stencil_rebuilds = 0; ///< initial build + one per reshape
-  double bin_seconds = 0.0;    ///< cell binning (cumulative)
+  double bin_seconds = 0.0;    ///< cell binning and the cell-order
+                               ///< position copy (cumulative)
   double count_seconds = 0.0;  ///< enumeration pass, rows sorted when asked
                                ///< (cumulative)
   double fill_seconds = 0.0;   ///< compaction into the CSR arrays, padded
@@ -166,16 +169,14 @@ class NeighborList {
   /// buffer for `per_atom` entries per atom plus slack (never shrinks).
   void reserve_chunks(double per_atom);
   template <NeighborMode Mode>
-  bool append_row(std::size_t i, std::span<const Vec3> positions,
-                  double range2, std::uint32_t* out, std::size_t cap,
-                  std::size_t& used) const;
+  bool append_row(std::size_t i, double range2, std::uint32_t* out,
+                  std::size_t cap, std::size_t& used) const;
   /// One parallel region: enumerate every unfinished chunk, stamp
   /// `enumerated_at`, then (master) the prefix sum, then the compaction.
   /// False when a chunk's buffer filled up; the CSR arrays are then left
   /// for the next pass.
   template <NeighborMode Mode>
-  bool enumerate_and_compact(std::span<const Vec3> positions, double range2,
-                             double& enumerated_at);
+  bool enumerate_and_compact(double range2, double& enumerated_at);
 
   void build_padded_tiles();
 

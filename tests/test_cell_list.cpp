@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -56,12 +58,33 @@ TEST(CellList, EveryAtomLandsInExactlyOneCell) {
   EXPECT_EQ(total, points.size());
 }
 
-TEST(CellList, StencilContainsSelf) {
+/// One stencil entry: a neighbor cell and the image code it is seen
+/// through.
+using Entry = std::pair<std::size_t, int>;
+
+/// Every (cell, image) entry the runs cover, in run order.
+std::vector<Entry> expand(std::span<const StencilRun> runs) {
+  std::vector<Entry> out;
+  for (const StencilRun& run : runs) {
+    for (std::size_t c = run.first; c < run.first + run.cells; ++c) {
+      out.emplace_back(c, run.image);
+    }
+  }
+  return out;
+}
+
+constexpr int kSelfImage = CellList::image_code(0, 0, 0);
+
+/// The image code seen from the other side of the pair.
+int mirrored(int code) { return 26 - code; }
+
+TEST(CellList, StencilContainsSelfOnce) {
   const Box box = Box::cubic(12.0);
   CellList cells(box, 3.0);
   for (std::size_t c = 0; c < cells.cell_count(); ++c) {
-    const auto& st = cells.stencil(c);
-    EXPECT_NE(std::find(st.begin(), st.end(), c), st.end());
+    const auto full = expand(cells.runs(c));
+    EXPECT_EQ(std::count(full.begin(), full.end(), Entry{c, kSelfImage}), 1);
+    EXPECT_EQ(expand(cells.half_runs(c)).front(), (Entry{c, kSelfImage}));
   }
 }
 
@@ -69,18 +92,42 @@ TEST(CellList, StencilHas27CellsOnLargeGrid) {
   const Box box = Box::cubic(15.0);
   CellList cells(box, 3.0);  // 5x5x5 grid
   for (std::size_t c = 0; c < cells.cell_count(); ++c) {
-    EXPECT_EQ(cells.stencil(c).size(), 27u);
+    const auto full = expand(cells.runs(c));
+    EXPECT_EQ(full.size(), 27u);
+    std::set<std::size_t> unique;
+    for (const auto& e : full) unique.insert(e.first);
+    EXPECT_EQ(unique.size(), 27u);
   }
 }
 
-TEST(CellList, StencilDeduplicatesOnNarrowGrid) {
-  const Box box = Box::cubic(8.0);
-  CellList cells(box, 3.8);  // 2x2x2 grid: +/-1 wraps onto the same cell
+TEST(CellList, RunsAreAscendingAndMergeWholeColumns) {
+  const Box box = Box::cubic(15.0);
+  CellList cells(box, 3.0);  // 5x5x5 grid
   for (std::size_t c = 0; c < cells.cell_count(); ++c) {
-    const auto& st = cells.stencil(c);
-    std::set<std::size_t> unique(st.begin(), st.end());
-    EXPECT_EQ(unique.size(), st.size());
-    EXPECT_EQ(st.size(), 8u);  // all cells are mutual neighbors
+    for (const auto runs : {cells.runs(c), cells.half_runs(c)}) {
+      for (std::size_t r = 1; r < runs.size(); ++r) {
+        EXPECT_LE(runs[r - 1].first + runs[r - 1].cells, runs[r].first);
+      }
+    }
+  }
+  // An interior cell: 9 whole z-columns; its half stencil is its own cell
+  // and the next one, then 4 whole columns.
+  const std::size_t interior = cells.cell_of({7.5, 7.5, 7.5});
+  EXPECT_EQ(cells.runs(interior).size(), 9u);
+  EXPECT_EQ(cells.half_runs(interior).size(), 5u);
+  EXPECT_EQ(cells.half_runs(interior)[0].cells, 2u);
+}
+
+TEST(CellList, NarrowGridKeepsBothImagesOfTheOtherCell) {
+  const Box box = Box::cubic(8.0);
+  CellList cells(box, 3.8);  // 2x2x2 grid: +/-1 reach the same cell
+  for (std::size_t c = 0; c < cells.cell_count(); ++c) {
+    const auto full = expand(cells.runs(c));
+    const std::set<Entry> unique(full.begin(), full.end());
+    EXPECT_EQ(unique.size(), 27u);  // every offset its own entry
+    std::set<std::size_t> cell_ids;
+    for (const auto& e : full) cell_ids.insert(e.first);
+    EXPECT_EQ(cell_ids.size(), 8u);  // all cells are mutual neighbors
   }
 }
 
@@ -89,10 +136,43 @@ TEST(CellList, NonPeriodicBoundariesTruncateStencil) {
   CellList cells(box, 3.0);  // 3x3x3
   // corner cell: 2x2x2 = 8 stencil entries
   const std::size_t corner = cells.cell_of({0.1, 0.1, 0.1});
-  EXPECT_EQ(cells.stencil(corner).size(), 8u);
+  EXPECT_EQ(expand(cells.runs(corner)).size(), 8u);
   // center cell: full 27
   const std::size_t center = cells.cell_of({4.5, 4.5, 4.5});
-  EXPECT_EQ(cells.stencil(center).size(), 27u);
+  EXPECT_EQ(expand(cells.runs(center)).size(), 27u);
+  for (std::size_t c = 0; c < cells.cell_count(); ++c) {
+    for (const StencilRun& run : cells.runs(c)) {
+      EXPECT_EQ(run.image, kSelfImage) << "open box, cell " << c;
+    }
+  }
+}
+
+/// For every pair within range, exactly one entry of i's full stencil sees
+/// j within range, through an image shift that reproduces the minimum
+/// image bitwise.
+void expect_pairs_covered_once(const Box& box, const CellList& cells,
+                               std::span<const Vec3> points, double range) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Vec3 wi = box.wrap(points[i]);
+    const auto full = expand(cells.runs(cells.cell_of(points[i])));
+    for (std::size_t j = 0; j < points.size(); ++j) {
+      if (i == j) continue;
+      const double expected = box.distance2(points[i], points[j]);
+      if (!(expected < range * range)) continue;
+      const Vec3 wj = box.wrap(points[j]);
+      int seen = 0;
+      for (const auto& [cell, image] : full) {
+        if (cell != cells.cell_of(points[j])) continue;
+        const Vec3 dr = (wi - wj) - cells.image_shift(
+                                        static_cast<std::size_t>(image));
+        if (norm2(dr) < range * range) {
+          ++seen;
+          EXPECT_EQ(norm2(dr), expected) << "pair (" << i << "," << j << ")";
+        }
+      }
+      EXPECT_EQ(seen, 1) << "pair (" << i << "," << j << ")";
+    }
+  }
 }
 
 TEST(CellList, AllNearbyPairsAreCoveredByTheStencil) {
@@ -101,19 +181,16 @@ TEST(CellList, AllNearbyPairsAreCoveredByTheStencil) {
   CellList cells(box, range);
   const auto points = random_points(box, 300, 7);
   cells.build(points);
+  expect_pairs_covered_once(box, cells, points, range);
+}
 
-  // For every pair within range, j's cell must be in i's stencil.
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& st = cells.stencil(cells.cell_of(points[i]));
-    for (std::size_t j = 0; j < points.size(); ++j) {
-      if (i == j) continue;
-      if (box.distance2(points[i], points[j]) < range * range) {
-        EXPECT_NE(std::find(st.begin(), st.end(), cells.cell_of(points[j])),
-                  st.end())
-            << "pair (" << i << "," << j << ") not covered";
-      }
-    }
-  }
+TEST(CellList, NarrowGridPairsAreCoveredThroughOneImage) {
+  const Box box({0, 0, 0}, {7.0, 8.0, 10.0});
+  const double range = 3.4;  // 2 x 2 x 2 cells
+  CellList cells(box, range);
+  const auto points = random_points(box, 200, 8);
+  cells.build(points);
+  expect_pairs_covered_once(box, cells, points, range);
 }
 
 TEST(CellList, OutOfBoxPositionsAreWrappedForBinning) {
@@ -123,26 +200,37 @@ TEST(CellList, OutOfBoxPositionsAreWrappedForBinning) {
   EXPECT_EQ(cells.cell_of({-1.0, 1.0, 1.0}), cells.cell_of({11.0, 1.0, 1.0}));
 }
 
-// Half-stencil invariant: every adjacent unordered cell pair {a, b} must
-// appear in exactly one of the two half stencils, and no half stencil may
-// contain its own cell. This is what lets half-mode pair enumeration visit
-// each cross-cell pair exactly once.
+// Half-stencil invariant: every half stencil starts at its own cell and
+// then holds exactly its full stencil's entries of greater flat index, so
+// every adjacent cell pair {a, b} is owned, in each image, by exactly one
+// of the two sides. This is what lets half-mode pair enumeration visit each
+// cross-cell pair exactly once.
 void check_half_stencil_invariant(const CellList& cells) {
-  std::set<std::pair<std::size_t, std::size_t>> owned;
+  std::set<std::tuple<std::size_t, std::size_t, int>> owned;
   for (std::size_t c = 0; c < cells.cell_count(); ++c) {
-    for (std::size_t other : cells.half_stencil(c)) {
-      EXPECT_GT(other, c);
-      EXPECT_TRUE(owned.insert({c, other}).second)
-          << "cell pair {" << c << "," << other << "} owned twice";
+    const auto half = expand(cells.half_runs(c));
+    ASSERT_FALSE(half.empty());
+    EXPECT_EQ(half.front(), (Entry{c, kSelfImage}));
+    std::vector<Entry> greater;
+    for (const auto& e : expand(cells.runs(c))) {
+      if (e.first > c) greater.push_back(e);
+    }
+    EXPECT_EQ(std::vector<Entry>(half.begin() + 1, half.end()), greater)
+        << "cell " << c;
+    for (std::size_t k = 1; k < half.size(); ++k) {
+      EXPECT_GT(half[k].first, c);
+      EXPECT_TRUE(owned.insert({c, half[k].first, half[k].second}).second)
+          << "cell pair {" << c << "," << half[k].first << "} owned twice";
     }
   }
-  // Every non-self full-stencil adjacency must be owned by exactly one side.
+  // Every non-self full-stencil entry must be owned by exactly one side.
   for (std::size_t c = 0; c < cells.cell_count(); ++c) {
-    for (std::size_t other : cells.stencil(c)) {
+    for (const auto& [other, image] : expand(cells.runs(c))) {
       if (other == c) continue;
-      const auto key = std::minmax(c, other);
-      EXPECT_TRUE(owned.count({key.first, key.second}))
-          << "adjacency {" << c << "," << other << "} unowned";
+      const bool mine = owned.count({c, other, image}) != 0;
+      const bool theirs = owned.count({other, c, mirrored(image)}) != 0;
+      EXPECT_NE(mine, theirs)
+          << "adjacency {" << c << "," << other << "} image " << image;
     }
   }
 }
@@ -169,10 +257,18 @@ TEST(CellList, UpdateBoxWithoutReshapeKeepsStencils) {
   Box box = Box::cubic(12.0);
   CellList cells(box, 3.0);  // 4x4x4
   EXPECT_EQ(cells.stencil_rebuilds(), 1u);
+  cells.build(random_points(box, 50, 2));
   box.rescale({1.02, 1.02, 1.02});  // 12.24 / 3 -> still 4 cells per dim
   EXPECT_FALSE(cells.update_box(box));
   EXPECT_EQ(cells.nx(), 4);
   EXPECT_EQ(cells.stencil_rebuilds(), 1u);
+  // The runs keep their image codes; the next build scales them by the
+  // new edges.
+  cells.build(random_points(box, 50, 3));
+  EXPECT_EQ(cells.image_shift(CellList::image_code(-1, 0, 1)),
+            (Vec3{-box.length(0), 0.0, box.length(2)}));
+  EXPECT_EQ(cells.image_shift(CellList::image_code(0, 1, 0)),
+            (Vec3{0.0, box.length(1), 0.0}));
 }
 
 TEST(CellList, UpdateBoxReshapesWhenGridChanges) {
@@ -216,6 +312,33 @@ TEST(CellList, ParallelBinningMatchesSerial) {
   }
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(parallel.binned_cell(i), serial.binned_cell(i));
+    EXPECT_EQ(parallel.slot_of(i), serial.slot_of(i));
+  }
+  // The cell-order copy holds each slot's atom at its wrapped position.
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const std::uint32_t i = parallel.slot_atoms()[k];
+    EXPECT_EQ(parallel.slot_of(i), k);
+    const Vec3 w = box.wrap(points[i]);
+    EXPECT_EQ(parallel.slot_x()[k], w.x);
+    EXPECT_EQ(parallel.slot_y()[k], w.y);
+    EXPECT_EQ(parallel.slot_z()[k], w.z);
+    EXPECT_EQ(serial.slot_x()[k], w.x);
+  }
+}
+
+TEST(CellList, CellOrderCopyHoldsWrappedPositions) {
+  const Box box = Box::cubic(12.0);
+  CellList cells(box, 3.0);
+  const std::vector<Vec3> points{{13.0, 1.0, 1.0}, {-1.0, 5.0, 11.5},
+                                 {6.0, 6.0, 6.0}};
+  cells.build(points);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::uint32_t k = cells.slot_of(i);
+    EXPECT_EQ(cells.slot_atoms()[k], i);
+    EXPECT_GE(k, cells.cell_begin(cells.binned_cell(i)));
+    EXPECT_LT(k, cells.cell_begin(cells.binned_cell(i) + 1));
+    EXPECT_EQ((Vec3{cells.slot_x()[k], cells.slot_y()[k], cells.slot_z()[k]}),
+              box.wrap(points[i]));
   }
 }
 

@@ -4,13 +4,11 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
-#include <new>
+#include <optional>
 #include <set>
-#include <thread>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -18,57 +16,7 @@
 #include "common/units.hpp"
 #include "geom/lattice.hpp"
 
-namespace sdcmd {
-namespace {
-
-// Allocation probe for BuildAllocatesOnlyOnTheCallingThread: while armed,
-// the replaced global operator new below counts allocations made on any
-// thread but the one that armed it.
-std::atomic<bool> g_probe_armed{false};
-std::atomic<int> g_foreign_allocations{0};
-std::thread::id g_probe_owner;
-
-void arm_allocation_probe() {
-  g_foreign_allocations = 0;
-  g_probe_owner = std::this_thread::get_id();
-  g_probe_armed.store(true, std::memory_order_release);
-}
-
-int disarm_allocation_probe() {
-  g_probe_armed.store(false, std::memory_order_release);
-  return g_foreign_allocations.load();
-}
-
-void note_allocation() {
-  if (g_probe_armed.load(std::memory_order_acquire) &&
-      std::this_thread::get_id() != g_probe_owner) {
-    ++g_foreign_allocations;
-  }
-}
-
-}  // namespace
-}  // namespace sdcmd
-
-// Replaces the allocation function every container goes through. The
-// matching deletes are replaced too: a sanitizer's own operator delete
-// rejects memory this operator new took from malloc.
-void* operator new(std::size_t size) {
-  sdcmd::note_allocation();
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-// GCC reads free() in a replaced operator delete as a mismatch with
-// operator new; the operator new above allocates with malloc.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
+#include "allocation_probe.hpp"
 
 namespace sdcmd {
 namespace {
@@ -103,29 +51,73 @@ std::set<Pair> pair_set(
   return {pairs.begin(), pairs.end()};
 }
 
+/// Restores the OpenMP team size a test changed.
+struct ThreadCountGuard {
+  int saved = max_threads();
+  ~ThreadCountGuard() { set_threads(saved); }
+};
+
+/// Every array a build writes, copied for bitwise comparison.
+struct ListArrays {
+  std::vector<std::size_t> index;
+  std::vector<std::uint32_t> len;
+  std::vector<std::uint32_t> list;
+  std::vector<std::size_t> tile_index;
+  std::vector<std::uint32_t> padded;
+
+  explicit ListArrays(const NeighborList& l)
+      : index(l.neigh_index()),
+        len(l.neigh_len()),
+        list(l.neigh_list()),
+        tile_index(l.tile_index()),
+        padded(l.padded_list()) {}
+  friend bool operator==(const ListArrays&, const ListArrays&) = default;
+};
+
 // Exact pair-for-pair comparison against the O(N^2) reference for both
 // modes: the half list, and the full list (whose stored entries, folded
-// to unordered pairs, must halve to the same set).
-void expect_all_paths_match_brute_force(const Box& box,
-                                        std::span<const Vec3> points,
-                                        double cutoff) {
+// to unordered pairs, must halve to the same set). Every variant must
+// match: rows sorted and unsorted, at teams 1-4, with the CSR arrays
+// bitwise equal across team sizes. With `first_box`, each list is built
+// there first (from `first_points`) and moved to `box` through
+// update_box() without a grid reshape, as a barostat does.
+void expect_all_paths_match_brute_force(
+    const Box& box, std::span<const Vec3> points, double cutoff,
+    const Box* first_box = nullptr, std::span<const Vec3> first_points = {}) {
+  ThreadCountGuard guard;
   const auto expected = pair_set(brute_force_pairs(box, points, cutoff));
-
-  NeighborListConfig cfg;
-  cfg.cutoff = cutoff;
-  cfg.skin = 0.0;  // exact range so sets must match brute force
-
-  NeighborList half(box, cfg);
-  half.build(points);
-  EXPECT_EQ(half.pair_count(), expected.size());
-  EXPECT_EQ(pairs_from_half_list(half), expected) << "half list";
-
-  NeighborListConfig full_cfg = cfg;
-  full_cfg.mode = NeighborMode::Full;
-  NeighborList full(box, full_cfg);
-  full.build(points);
-  EXPECT_EQ(full.pair_count(), 2 * expected.size());
-  EXPECT_EQ(pairs_from_half_list(full), expected) << "full mode";
+  for (const NeighborMode mode : {NeighborMode::Half, NeighborMode::Full}) {
+    for (const bool sorted : {false, true}) {
+      NeighborListConfig cfg;
+      cfg.cutoff = cutoff;
+      cfg.skin = 0.0;  // exact range so sets must match brute force
+      cfg.mode = mode;
+      cfg.sort_neighbors = sorted;
+      const std::size_t stored = mode == NeighborMode::Half ? 1 : 2;
+      std::optional<ListArrays> reference;
+      for (int team = 1; team <= 4; ++team) {
+        set_threads(team);
+        NeighborList list(first_box != nullptr ? *first_box : box, cfg);
+        if (first_box != nullptr) {
+          list.build(first_points);
+          EXPECT_FALSE(list.update_box(box));
+        }
+        list.build(points);
+        const std::string where =
+            std::string(mode == NeighborMode::Half ? "half" : "full") +
+            " list, sorted " + std::to_string(sorted) + ", team " +
+            std::to_string(team);
+        EXPECT_EQ(list.stats().stencil_rebuilds, 1u) << where;
+        EXPECT_EQ(list.pair_count(), stored * expected.size()) << where;
+        EXPECT_EQ(pairs_from_half_list(list), expected) << where;
+        if (!reference) {
+          reference.emplace(list);
+        } else {
+          EXPECT_TRUE(ListArrays(list) == *reference) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(NeighborList, HalfListMatchesBruteForce) {
@@ -381,7 +373,10 @@ TEST(NeighborList, MemoryAccountingIncludesEveryComponent) {
       points.size() * sizeof(Vec3) + list.scratch_bytes() +
       list.cells().memory_bytes();
   EXPECT_EQ(list.memory_bytes(), expected);
-  EXPECT_GT(list.cells().memory_bytes(), 0u);
+  // The cell list's gauge covers its cell-order copy: x/y/z, the slot
+  // ids and the atom -> slot and atom -> cell maps.
+  EXPECT_GE(list.cells().memory_bytes(),
+            points.size() * (3 * sizeof(double) + 3 * sizeof(std::uint32_t)));
   // The scratch holds every row between builds.
   EXPECT_GE(list.scratch_bytes(), list.pair_count() * sizeof(std::uint32_t));
   EXPECT_GT(list.memory_bytes(),
@@ -533,29 +528,6 @@ TEST(NeighborList, ConfigCompatibilityGatesInPlaceReuse) {
   EXPECT_FALSE(list.config_compatible(other));
 }
 
-/// Restores the OpenMP team size a test changed.
-struct ThreadCountGuard {
-  int saved = max_threads();
-  ~ThreadCountGuard() { set_threads(saved); }
-};
-
-/// Every array a build writes, copied for bitwise comparison.
-struct ListArrays {
-  std::vector<std::size_t> index;
-  std::vector<std::uint32_t> len;
-  std::vector<std::uint32_t> list;
-  std::vector<std::size_t> tile_index;
-  std::vector<std::uint32_t> padded;
-
-  explicit ListArrays(const NeighborList& l)
-      : index(l.neigh_index()),
-        len(l.neigh_len()),
-        list(l.neigh_list()),
-        tile_index(l.tile_index()),
-        padded(l.padded_list()) {}
-  friend bool operator==(const ListArrays&, const ListArrays&) = default;
-};
-
 /// Half, full, sorted and padded lists at the default skin.
 std::vector<NeighborListConfig> team_size_configs() {
   NeighborListConfig half;
@@ -625,6 +597,54 @@ TEST(NeighborList, RowsStayIdenticalAcrossGrowingAndShrinkingRebuilds) {
           << "shrink, team " << team;
     }
   }
+}
+
+TEST(NeighborList, ThreeCellPeriodicGridsMatchBruteForce) {
+  // Exactly 3 cells per periodic dimension: the -1 and +1 neighbors of an
+  // edge cell are distinct cells, one of them through a periodic image.
+  const double cutoff = 3.0;
+  const Box cube = Box::cubic(9.5);
+  ASSERT_EQ(CellList(cube, cutoff).nx(), 3);
+  expect_all_paths_match_brute_force(cube, random_points(cube, 320, 19),
+                                     cutoff);
+  // Mixed: 3 and 2 cells on the periodic dims, 3 on the open one.
+  const Box mixed({0, 0, 0}, {9.5, 7.0, 9.9}, {true, true, false});
+  expect_all_paths_match_brute_force(
+      mixed, random_points(mixed, 260, 20), cutoff);
+}
+
+TEST(NeighborList, AtomsOnCellFacesAndBoxEdgesMatchBruteForce) {
+  // 10 / 3 -> 3 cells per dimension. Coordinates sit on the cell faces,
+  // at lo, and at hi minus one ulp, where binning and the image shifts
+  // meet; pairs across the periodic boundary lie an ulp apart.
+  const double cutoff = 3.0;
+  const Box box = Box::cubic(10.0);
+  const double top = std::nextafter(10.0, 0.0);
+  const std::array<double, 5> marks{0.0, 10.0 / 3.0, 20.0 / 3.0, top, 5.0};
+  Xoshiro256 rng(71);
+  std::vector<Vec3> points;
+  for (const double a : marks) {
+    for (const double b : marks) {
+      for (const double c : marks) points.push_back({a, b, c});
+      points.push_back({a, b, rng.uniform(0.0, 10.0)});
+      points.push_back({rng.uniform(0.0, 10.0), a, b});
+      points.push_back({b, rng.uniform(0.0, 10.0), a});
+    }
+  }
+  expect_all_paths_match_brute_force(box, points, cutoff);
+}
+
+TEST(NeighborList, RescaledBoxWithoutReshapeMatchesBruteForce) {
+  // update_box() keeps the stencil runs and their image codes; the
+  // rebuild must scale the codes by the new edges, not the old ones.
+  const double cutoff = 3.0;
+  const Box box({0, 0, 0}, {9.5, 9.5, 12.5});  // 3 x 3 x 4 cells
+  const auto before = random_points(box, 360, 23);
+  Box grown = box;
+  grown.rescale({1.04, 1.07, 0.98});  // still 3 x 3 x 4 cells
+  std::vector<Vec3> after;
+  for (const Vec3& r : before) after.push_back(grown.affine_map(r, box));
+  expect_all_paths_match_brute_force(grown, after, cutoff, &box, before);
 }
 
 TEST(NeighborList, BuildAllocatesOnlyOnTheCallingThread) {

@@ -476,8 +476,8 @@ TEST(PerfPhaseProfiler, DegradesToNoOpWhenUnavailable) {
   // opened; with them closed it must simply produce nothing.
   prof.begin_step();
   prof.thread_begin(0);
-  for (volatile int i = 0; i < 100000; ++i) {
-  }
+  volatile int spin = 0;
+  for (int i = 0; i < 100000; ++i) spin = spin + 1;
   prof.thread_mark(0, 0);
   prof.thread_mark(1, 0);
   prof.thread_mark(2, 0);

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "common/random.hpp"
+#include "common/threads.hpp"
 #include "geom/lattice.hpp"
+
+#include "allocation_probe.hpp"
 
 namespace sdcmd {
 namespace {
@@ -145,6 +151,98 @@ TEST(Partition, RebuildReflectsMovedAtoms) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+/// Restores the OpenMP team size a test changed.
+struct ThreadCountGuard {
+  int saved = max_threads();
+  ~ThreadCountGuard() { set_threads(saved); }
+};
+
+/// The arrays a build writes, copied for bitwise comparison.
+struct PartitionArrays {
+  std::vector<std::size_t> pstart;
+  std::vector<std::uint32_t> partindex;
+
+  explicit PartitionArrays(const Partition& p)
+      : pstart(p.pstart()), partindex(p.partindex()) {}
+  friend bool operator==(const PartitionArrays&,
+                         const PartitionArrays&) = default;
+};
+
+TEST(Partition, ArraysAreBitwiseIdenticalForTeamSizesOneToFour) {
+  // Each thread counts and scatters its own chunk of atoms, so the
+  // chunking changes with the team size; pstart and partindex must not.
+  ThreadCountGuard guard;
+  Fixture f;
+  const auto points = random_points(f.box, 6000, 91);
+  set_threads(1);
+  f.partition.build(points);
+  const PartitionArrays expected(f.partition);
+  for (std::size_t slot = 0; slot < f.partition.subdomain_count(); ++slot) {
+    const auto atoms = f.partition.atoms_in_slot(slot);
+    EXPECT_TRUE(std::is_sorted(atoms.begin(), atoms.end())) << slot;
+  }
+  for (int team = 2; team <= 4; ++team) {
+    set_threads(team);
+    Partition partition(f.decomposition, f.coloring);
+    partition.build(points);
+    EXPECT_TRUE(PartitionArrays(partition) == expected) << "team " << team;
+  }
+}
+
+TEST(Partition, ArraysStayIdenticalAcrossGrowingAndShrinkingRebuilds) {
+  // A rebuild with more atoms outgrows the previous build's arrays; one
+  // back on the smaller set shrinks them. Both must reproduce a fresh
+  // single-thread build exactly.
+  ThreadCountGuard guard;
+  Fixture f;
+  const auto small = random_points(f.box, 3000, 92);
+  const auto large = random_points(f.box, 9000, 93);
+  set_threads(1);
+  Partition fresh_small(f.decomposition, f.coloring);
+  Partition fresh_large(f.decomposition, f.coloring);
+  fresh_small.build(small);
+  fresh_large.build(large);
+  const PartitionArrays expect_small(fresh_small), expect_large(fresh_large);
+  for (int team = 1; team <= 4; ++team) {
+    set_threads(team);
+    Partition partition(f.decomposition, f.coloring);
+    partition.build(small);
+    EXPECT_TRUE(PartitionArrays(partition) == expect_small)
+        << "first, team " << team;
+    partition.build(large);
+    EXPECT_TRUE(PartitionArrays(partition) == expect_large)
+        << "grow, team " << team;
+    partition.build(small);
+    EXPECT_TRUE(PartitionArrays(partition) == expect_small)
+        << "shrink, team " << team;
+  }
+}
+
+TEST(Partition, BuildAllocatesOnlyOnTheCallingThread) {
+  // Like the neighbor list, the partition's counting sort sizes all its
+  // scratch before the parallel region, growing rebuilds included.
+  ThreadCountGuard guard;
+  set_threads(4);
+  // The probe itself must see a worker's allocation.
+  std::vector<std::unique_ptr<int>> slots(4);
+  arm_allocation_probe();
+#pragma omp parallel num_threads(4)
+  {
+    const int t = thread_id();
+    slots[static_cast<std::size_t>(t)] = std::make_unique<int>(t);
+  }
+  EXPECT_GT(disarm_allocation_probe(), 0) << "probe missed worker allocations";
+
+  Fixture f;
+  const auto small = random_points(f.box, 3000, 94);
+  const auto large = random_points(f.box, 9000, 95);
+  arm_allocation_probe();
+  f.partition.build(small);
+  f.partition.build(large);
+  f.partition.build(small);
+  EXPECT_EQ(disarm_allocation_probe(), 0);
 }
 
 }  // namespace

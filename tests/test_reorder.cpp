@@ -42,7 +42,9 @@ TEST(SpatialSort, SortedOrderIsCellMonotonic) {
   bool first = true;
   for (std::uint32_t old : perm) {
     const std::size_t c = cells.cell_of(points[old]);
-    if (!first) EXPECT_GE(c, last);
+    if (!first) {
+      EXPECT_GE(c, last);
+    }
     last = c;
     first = false;
   }
