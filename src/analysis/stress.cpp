@@ -56,6 +56,8 @@ void PerAtomStress::compute(const Box& box, std::span<const Vec3> positions,
   SDCMD_REQUIRE(list.atom_count() == n, "neighbor list is stale");
   SDCMD_REQUIRE(list.cutoff() >= potential_.cutoff(),
                 "neighbor list cutoff shorter than the potential range");
+  SDCMD_REQUIRE(list.built_for(box),
+                "neighbor list was built for another box");
   SDCMD_REQUIRE(fp.size() == n, "fp array must match the atom count");
   SDCMD_REQUIRE(velocities.empty() || velocities.size() == n,
                 "velocities must be empty or match the atom count");
@@ -72,8 +74,11 @@ void PerAtomStress::compute(const Box& box, std::span<const Vec3> positions,
   auto atom_body = [&](std::size_t i) {
     const Vec3 xi = positions[i];
     const double fp_i = fp[i];
-    for (std::uint32_t j : list.neighbors(i)) {
-      const Vec3 dr = box.minimum_image(xi, positions[j]);
+    const auto nbrs = list.neighbors(i);
+    const auto images = list.images(i);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const std::uint32_t j = nbrs[k];
+      const Vec3 dr = list.displacement(xi, positions[j], images[k]);
       const double r2 = norm2(dr);
       if (r2 >= cutoff2) continue;
       const double r = std::sqrt(r2);

@@ -14,7 +14,6 @@ namespace sdcmd {
 namespace {
 
 struct AlloyArgs {
-  const Box& box;
   std::span<const Vec3> x;
   std::span<const std::uint8_t> types;
   const NeighborList& list;
@@ -33,9 +32,12 @@ struct AlloyDensityRow {
     const AlloyArgs& a = args;
     const Vec3 xi = a.x[i];
     const int ti = a.types[i];
+    const auto nbrs = a.list.neighbors(i);
+    const auto images = a.list.images(i);
     double rho_i = 0.0;
-    for (std::uint32_t j : a.list.neighbors(i)) {
-      const Vec3 dr = a.box.minimum_image(xi, a.x[j]);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const std::uint32_t j = nbrs[k];
+      const Vec3 dr = a.list.displacement(xi, a.x[j], images[k]);
       const double r2 = norm2(dr);
       if (r2 >= a.cutoff2) continue;
       const double r = std::sqrt(r2);
@@ -83,9 +85,12 @@ struct AlloyForceRow {
     const Vec3 xi = a.x[i];
     const int ti = a.types[i];
     const double fp_i = fp[i];
+    const auto nbrs = a.list.neighbors(i);
+    const auto images = a.list.images(i);
     Vec3 f_i{};
-    for (std::uint32_t j : a.list.neighbors(i)) {
-      const Vec3 dr = a.box.minimum_image(xi, a.x[j]);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const std::uint32_t j = nbrs[k];
+      const Vec3 dr = a.list.displacement(xi, a.x[j], images[k]);
       const double r2 = norm2(dr);
       if (r2 >= a.cutoff2) continue;
       const double r = std::sqrt(r2);
@@ -148,6 +153,8 @@ AlloyForceResult AlloyForceComputer::compute(
                 "neighbor list mode does not match the strategy");
   SDCMD_REQUIRE(list.cutoff() >= potential_.cutoff(),
                 "neighbor list cutoff shorter than the potential range");
+  SDCMD_REQUIRE(list.built_for(box),
+                "neighbor list was built for another box");
   const int ns = potential_.species_count();
   for (std::uint8_t t : types) {
     SDCMD_REQUIRE(t < ns, "species index out of range");
@@ -155,8 +162,7 @@ AlloyForceResult AlloyForceComputer::compute(
   engine_->require_ready(n);
 
   const double cutoff = potential_.cutoff();
-  const AlloyArgs args{box, positions, types, list, potential_,
-                       cutoff * cutoff};
+  const AlloyArgs args{positions, types, list, potential_, cutoff * cutoff};
   const int team_request =
       config_.strategy == ReductionStrategy::Serial ? 1 : max_threads();
   const auto slots = static_cast<std::size_t>(team_request);

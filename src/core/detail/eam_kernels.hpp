@@ -7,16 +7,20 @@
 //    its j-side update goes through the protection (Section II.D: density
 //    counted for both partners, Newton's third law in the force loop); on
 //    RC's full list the gather protection drops the j side.
-//    kCached: the density row records each pair's minimum-image geometry
-//    and density-spline slope at its CSR slot, and the force row replays
-//    them - no minimum image, sqrt, cutoff test or second density spline
-//    (r < 0 marks pairs beyond the cutoff). Half-list strategies run
-//    cached; the uncached rows are the serial reference
-//    (compute_serial_reference) and RC's scalar gather, whose two visits of
-//    a pair sit at different slots.
+//    Every row takes a pair's displacement from the image code the list
+//    stored for it (NeighborList::displacement), with no minimum image.
+//    kCached: the density row records each pair's distance and
+//    density-spline slope at its CSR slot (16 B), and the force row
+//    replays them - no sqrt, cutoff test or second density spline (r < 0
+//    marks pairs beyond the cutoff) - rebuilding the displacement with
+//    the expression the density row evaluated, so it is bitwise the same.
+//    Half-list strategies run cached; the uncached rows are the serial
+//    reference (compute_serial_reference) and RC's scalar gather, whose
+//    two visits of a pair sit at different slots.
 //  * RcSoaDensityRow / RcSoaForceRow - RC's gather rows in SIMD form
 //    (eam_soa.hpp), used when the full list carries padded tiles and the
-//    potential packed spline tables.
+//    potential packed spline tables. They keep their own SIMD minimum
+//    image.
 //  * EmbedRow / SoaEmbedBlock - phase 2, per atom, no scatter.
 //
 // Force rows accumulate the pair energy and virial of every pair they
@@ -37,7 +41,6 @@
 
 #include "common/vec3.hpp"
 #include "core/detail/eam_soa.hpp"
-#include "geom/box.hpp"
 #include "neighbor/neighbor_list.hpp"
 #include "potential/potential.hpp"
 
@@ -51,13 +54,11 @@ inline constexpr int kProfPhaseForce = 2;
 
 /// Borrowed per-pair cache storage, indexed by CSR slot.
 struct PairCacheRefs {
-  Vec3* dr = nullptr;        ///< minimum-image x_i - x_j
   double* r = nullptr;       ///< |dr|; < 0 marks a cutoff-rejected pair
   double* dphidr = nullptr;  ///< density-spline derivative at r
 };
 
 struct EamArgs {
-  const Box& box;
   std::span<const Vec3> x;
   const NeighborList& list;
   double cutoff2;  ///< squared potential cutoff (list range is wider)
@@ -86,15 +87,17 @@ inline void as_returned(double& value, double& derivative) {
   as_returned(derivative);
 }
 
-/// Minimum-image pair geometry; returns false when beyond the cutoff.
+/// Pair geometry through the pair's stored image code; returns false when
+/// beyond the cutoff.
 struct PairGeom {
-  Vec3 dr;   ///< x_i - x_j (minimum image)
+  Vec3 dr;   ///< x_i - x_j (the list's image)
   double r;  ///< |dr|
 };
 
-inline bool pair_geometry(const Box& box, const Vec3& xi, const Vec3& xj,
-                          double cutoff2, PairGeom& out) {
-  out.dr = box.minimum_image(xi, xj);
+inline bool pair_geometry(const NeighborList& list, const Vec3& xi,
+                          const Vec3& xj, std::uint8_t image, double cutoff2,
+                          PairGeom& out) {
+  out.dr = list.displacement(xi, xj, image);
   const double r2 = norm2(out.dr);
   if (r2 >= cutoff2) return false;
   out.r = std::sqrt(r2);
@@ -116,11 +119,12 @@ struct EamDensityRow {
     const Vec3 xi = a.x[i];
     const auto nbrs = a.list.neighbors(i);
     const std::size_t base = a.list.neigh_index()[i];
+    const auto images = a.list.images(i);
     double rho_i = 0.0;
     for (std::size_t k = 0; k < nbrs.size(); ++k) {
       const std::uint32_t j = nbrs[k];
       PairGeom g;
-      if (!pair_geometry(a.box, xi, a.x[j], a.cutoff2, g)) {
+      if (!pair_geometry(a.list, xi, a.x[j], images[k], a.cutoff2, g)) {
         if constexpr (kCached) a.cache.r[base + k] = -1.0;
         continue;
       }
@@ -128,7 +132,6 @@ struct EamDensityRow {
       p.density(g.r, phi, dphidr);
       as_returned(phi, dphidr);
       if constexpr (kCached) {
-        a.cache.dr[base + k] = g.dr;
         a.cache.r[base + k] = g.r;
         a.cache.dphidr[base + k] = dphidr;
       }
@@ -205,6 +208,7 @@ struct EamForceRow {
     const double fp_i = fp[i];
     const auto nbrs = a.list.neighbors(i);
     const std::size_t base = a.list.neigh_index()[i];
+    const auto images = a.list.images(i);
     Vec3 f_i{};
     for (std::size_t k = 0; k < nbrs.size(); ++k) {
       const std::uint32_t j = nbrs[k];
@@ -213,11 +217,14 @@ struct EamForceRow {
       if constexpr (kCached) {
         r = a.cache.r[base + k];
         if (r < 0.0) continue;  // rejected by the density phase
-        dr = a.cache.dr[base + k];
+        // The density row's expression: bitwise its displacement.
+        dr = a.list.displacement(xi, a.x[j], images[k]);
         dphidr = a.cache.dphidr[base + k];
       } else {
         PairGeom g;
-        if (!pair_geometry(a.box, xi, a.x[j], a.cutoff2, g)) continue;
+        if (!pair_geometry(a.list, xi, a.x[j], images[k], a.cutoff2, g)) {
+          continue;
+        }
         dr = g.dr;
         r = g.r;
         double phi;

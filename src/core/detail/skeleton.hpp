@@ -114,7 +114,8 @@ struct StripedLockScatter {
 /// CellTask: while a task holds its own block's lock, writes into that
 /// block go straight through; writes into foreign blocks are staged and
 /// flushed afterwards under each target block's lock (grouped by runs of
-/// the same target, which sorted rows cluster). At most one lock is held
+/// the same target block, which rows cluster: a row lists its neighbors
+/// cell by cell, in the list's stencil order). At most one lock is held
 /// at a time, so the scheme is deadlock-free for any block geometry.
 template <class T>
 struct BlockStagedScatter {

@@ -13,36 +13,33 @@
 
 namespace sdcmd {
 
-/// Per-pair geometry/spline cache, indexed by CSR slot (neigh_index[i] + k).
-/// The density phase writes every slot; the force phase reads them back
-/// instead of recomputing minimum image + sqrt + density spline. Reused
-/// across steps: resize() keeps capacity when the pair count shrinks, so
+/// Per-pair distance/spline cache, indexed by CSR slot (neigh_index[i] +
+/// k), 16 B per pair. The density phase writes every slot; the force phase
+/// reads them back instead of recomputing sqrt + density spline, and
+/// rebuilds the displacement from the list's image code. Reused across
+/// steps: resize() keeps capacity when the pair count shrinks, so
 /// steady-state steps never reallocate, and grows it to 12.5 % above the
 /// pair count, like NeighborList's CSR arrays, rather than letting the
 /// vectors double.
 struct EamForceComputer::PairCache {
-  std::vector<Vec3> dr;
   std::vector<double> r;
   std::vector<double> dphidr;
 
   void resize(std::size_t pairs) {
     if (r.capacity() < pairs) {
-      dr.reserve(pairs + pairs / 8);
       r.reserve(pairs + pairs / 8);
       dphidr.reserve(pairs + pairs / 8);
     }
-    dr.resize(pairs);
     r.resize(pairs);
     dphidr.resize(pairs);
   }
 
   detail::PairCacheRefs refs() {
-    return detail::PairCacheRefs{dr.data(), r.data(), dphidr.data()};
+    return detail::PairCacheRefs{r.data(), dphidr.data()};
   }
 
   std::size_t bytes() const {
-    return dr.capacity() * sizeof(Vec3) +
-           (r.capacity() + dphidr.capacity()) * sizeof(double);
+    return (r.capacity() + dphidr.capacity()) * sizeof(double);
   }
 };
 
@@ -125,12 +122,14 @@ EamForceResult EamForceComputer::compute(const Box& box,
                     " neighbor list");
   SDCMD_REQUIRE(list.cutoff() >= potential_.cutoff(),
                 "neighbor list cutoff shorter than the potential range");
+  SDCMD_REQUIRE(list.built_for(box),
+                "neighbor list was built for another box");
   // All preconditions are checked here, BEFORE the parallel region opens:
   // the kernels themselves must never throw.
   engine_->require_ready(n);
 
   const double cutoff = potential_.cutoff();
-  detail::EamArgs args{box, positions, list, cutoff * cutoff, {}};
+  detail::EamArgs args{positions, list, cutoff * cutoff, {}};
   // Full lists gather (RC); half lists scatter through the pair cache.
   const bool gather = list.mode() == NeighborMode::Full;
   // SIMD gathers need padded tiles and packed spline tables.
@@ -366,8 +365,10 @@ EamForceResult EamForceComputer::compute_serial_reference(
   SDCMD_REQUIRE(list.atom_count() == n, "neighbor list is stale");
   SDCMD_REQUIRE(list.mode() == NeighborMode::Half,
                 "the serial reference kernels walk a half neighbor list");
+  SDCMD_REQUIRE(list.built_for(box),
+                "neighbor list was built for another box");
   const double cutoff = potential_.cutoff();
-  const detail::EamArgs args{box, positions, list, cutoff * cutoff, {}};
+  const detail::EamArgs args{positions, list, cutoff * cutoff, {}};
   std::fill(rho.begin(), rho.end(), 0.0);
   std::fill(force.begin(), force.end(), Vec3{});
   return visit_eam(potential_, [&](const auto& pot) {

@@ -15,7 +15,6 @@ namespace {
 /// The pair-force row body (see skeleton.hpp): forces on atom i from its
 /// neighbor row, the j side through the protection (Newton's third law).
 struct PairForceRow {
-  const Box& box;
   std::span<const Vec3> x;
   const NeighborList& list;
   const PairPotential& pot;
@@ -27,9 +26,12 @@ struct PairForceRow {
   void operator()(std::size_t i, S s) {
     const Vec3 xi = x[i];
     double e = energy, w = virial;  // locals stay in registers
+    const auto nbrs = list.neighbors(i);
+    const auto images = list.images(i);
     Vec3 f_i{};
-    for (std::uint32_t j : list.neighbors(i)) {
-      const Vec3 dr = box.minimum_image(xi, x[j]);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const std::uint32_t j = nbrs[k];
+      const Vec3 dr = list.displacement(xi, x[j], images[k]);
       const double r2 = norm2(dr);
       if (r2 >= cutoff2) continue;
       const double r = std::sqrt(r2);
@@ -90,10 +92,12 @@ PairForceResult PairForceComputer::compute(const Box& box,
                 "neighbor list mode does not match the strategy");
   SDCMD_REQUIRE(list.cutoff() >= potential_.cutoff(),
                 "neighbor list cutoff shorter than the potential range");
+  SDCMD_REQUIRE(list.built_for(box),
+                "neighbor list was built for another box");
   engine_->require_ready(n);
 
   const double cutoff = potential_.cutoff();
-  const PairForceRow proto{box, positions, list, potential_, cutoff * cutoff};
+  const PairForceRow proto{positions, list, potential_, cutoff * cutoff};
   const int team_request =
       config_.strategy == ReductionStrategy::Serial ? 1 : max_threads();
   energy_parts_.assign(static_cast<std::size_t>(team_request), 0.0);

@@ -73,7 +73,6 @@ void Simulation::rebuild_geometry() {
   nl.cutoff = provider_->cutoff();
   nl.skin = skin_;
   nl.mode = provider_->required_mode();
-  nl.sort_neighbors = config_.sort_neighbors;
   // SIMD backends (the EAM SoA fast path) ask for vector-width-padded
   // neighbor tiles; 0 skips the extra arrays. Part of config_compatible,
   // so toggling the fast path reconstructs the list.
@@ -104,9 +103,9 @@ void Simulation::rebuild_geometry() {
 
   provider_->attach_schedule(system_.box(), provider_->cutoff() + skin_);
   if (reuse_list) {
-    // A build would reproduce the current list (wrapping and re-sorting
-    // settled positions change nothing): only re-partition the atoms for
-    // the freshly attached schedule.
+    // A build would reproduce the current list (wrapping settled
+    // positions changes nothing): only re-partition the atoms for the
+    // freshly attached schedule.
     provider_->on_neighbor_rebuild(system_.atoms().position);
     steps_since_rebuild_ = 0;
     forces_current_ = false;

@@ -36,10 +36,10 @@ struct SimulationConfig {
   int rebuild_interval = 0;
   /// Strategy + SDC settings for the force evaluation.
   EamForceConfig force;
-  /// Spatially re-sort atoms at every rebuild (paper Section II.D).
+  /// Spatially re-sort atoms at every rebuild (paper Section II.D). The
+  /// neighbor rows are not sorted: they keep the list build's stencil
+  /// order, which already clusters each row's neighbors by cell.
   bool reorder_atoms = false;
-  /// Sort each neighbor sublist ascending (paper Section II.D).
-  bool sort_neighbors = true;
 };
 
 /// Guardrails for unattended runs: periodic health checks plus a rolling

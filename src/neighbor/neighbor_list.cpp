@@ -16,6 +16,35 @@ namespace {
 /// Entries every chunk buffer holds beyond its estimate, so a chunk of a
 /// few atoms does not overflow on one dense row.
 constexpr std::size_t kChunkSlack = 64;
+
+/// Sorts a row by id, its image codes moving with their ids, through
+/// packed (id, code) keys in `keys` (room for `len`).
+void sort_row(std::uint32_t* ids, std::uint8_t* images, std::size_t len,
+              std::uint64_t* keys) {
+  for (std::size_t k = 0; k < len; ++k) {
+    keys[k] = std::uint64_t{ids[k]} << 8 | images[k];
+  }
+  std::sort(keys, keys + len);
+  for (std::size_t k = 0; k < len; ++k) {
+    ids[k] = static_cast<std::uint32_t>(keys[k] >> 8);
+    images[k] = static_cast<std::uint8_t>(keys[k]);
+  }
+}
+
+/// Image code `code` seen between an atom wrapped from image `wrap_i` and
+/// one wrapped from image `wrap_j` (all CellList::image_code values):
+/// s + a_i - a_j per axis, or -1 when that leaves {-1, 0, 1}.
+int fold_image(int code, int wrap_i, int wrap_j) {
+  int folded = 0;
+  for (int place = 9; place >= 1; place /= 3) {
+    // Each base-3 digit is its axis's shift + 1.
+    const int digit = code / place % 3 + wrap_i / place % 3 -
+                      wrap_j / place % 3;
+    if (digit < 0 || digit > 2) return -1;
+    folded += digit * place;
+  }
+  return folded;
+}
 }  // namespace
 
 NeighborList::NeighborList(const Box& box, NeighborListConfig config)
@@ -33,7 +62,8 @@ NeighborList::NeighborList(const Box& box, NeighborListConfig config)
 // cell, each a contiguous range of cell-order slots seen through one
 // periodic image s, tested as dr = (x_i - x_j) - L*s per axis. For a pair
 // within range that is the arithmetic Box::minimum_image does, so rows are
-// bitwise those of a minimum-image scan over the same cells.
+// bitwise those of a minimum-image scan over the same cells. Each
+// candidate's image code is written beside its id.
 //   Half : the half runs. The first one starts at i's own cell, where only
 //          the slots after i's (greater ids) pair with it. Each cross-cell
 //          pair is stored under the atom in the lower-index cell;
@@ -41,12 +71,12 @@ NeighborList::NeighborList(const Box& box, NeighborListConfig config)
 //   Full : the full runs, skipping only i's own slot.
 // The append is branchless: every candidate is written and the cursor
 // advances only past kept ones, so a run fits only when the buffer has
-// room for all its candidates. Appends atom i's row to out[used, cap);
-// false when it does not fit.
+// room for all its candidates. Appends atom i's row to out[used, cap) and
+// its codes to images[used, cap); false when it does not fit.
 template <NeighborMode Mode>
 bool NeighborList::append_row(std::size_t i, double range2,
-                              std::uint32_t* out, std::size_t cap,
-                              std::size_t& used) const {
+                              std::uint32_t* out, std::uint8_t* images,
+                              std::size_t cap, std::size_t& used) const {
   const double* xs = cells_.slot_x();
   const double* ys = cells_.slot_y();
   const double* zs = cells_.slot_z();
@@ -55,20 +85,23 @@ bool NeighborList::append_row(std::size_t i, double range2,
   const double xi = xs[si];
   const double yi = ys[si];
   const double zi = zs[si];
-  const std::size_t ci = cells_.binned_cell(i);
-  const auto runs =
-      Mode == NeighborMode::Half ? cells_.half_runs(ci) : cells_.runs(ci);
-  for (const StencilRun& run : runs) {
-    const std::size_t begin = Mode == NeighborMode::Half && &run == &runs[0]
+  const std::uint32_t ci = cells_.binned_cell(i);
+  // The runs of ci's boundary class, relative to ci.
+  const auto runs = cells_.class_runs(ci, Mode == NeighborMode::Half);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const std::uint32_t first = ci + runs[r].first;
+    const std::size_t begin = Mode == NeighborMode::Half && r == 0
                                   ? si + 1
-                                  : cells_.cell_begin(run.first);
-    const std::size_t end = cells_.cell_begin(run.first + run.cells);
+                                  : cells_.cell_begin(first);
+    const std::size_t end = cells_.cell_begin(first + runs[r].cells);
     if (cap - used < end - begin) return false;
-    const Vec3& s = cells_.image_shift(run.image);
+    const auto image = static_cast<std::uint8_t>(runs[r].image);
+    const Vec3& s = cells_.image_shift(image);
     for (std::size_t k = begin; k < end; ++k) {
       const Vec3 dr{(xi - xs[k]) - s.x, (yi - ys[k]) - s.y,
                     (zi - zs[k]) - s.z};
       out[used] = ids[k];
+      images[used] = image;
       if constexpr (Mode == NeighborMode::Half) {
         used += norm2(dr) < range2;
       } else {
@@ -91,6 +124,9 @@ void NeighborList::reserve_chunks(double per_atom) {
   const auto count = static_cast<std::size_t>(std::max(1, max_threads()));
   chunks_.resize(count);
   chunk_atoms_ = (neigh_len_.size() + count - 1) / count;
+  // A row holds at most its stencil's candidates: 27 cells' atoms.
+  const std::size_t row_max =
+      config_.sort_neighbors ? 27 * cells_.max_cell_atoms() : 0;
   for (std::size_t c = 0; c < count; ++c) {
     ChunkScratch& chunk = chunks_[c];
     chunk.used = 0;
@@ -98,7 +134,11 @@ void NeighborList::reserve_chunks(double per_atom) {
     const double atoms = static_cast<double>(chunk_end(c) - chunk.next);
     const std::size_t want =
         static_cast<std::size_t>(1.125 * per_atom * atoms) + kChunkSlack;
-    if (chunk.pairs.size() < want) chunk.pairs.resize(want);
+    if (chunk.pairs.size() < want) {
+      chunk.pairs.resize(want);
+      chunk.images.resize(want);
+    }
+    if (chunk.keys.size() < row_max) chunk.keys.resize(row_max);
   }
 }
 
@@ -118,17 +158,20 @@ bool NeighborList::enumerate_and_compact(double range2,
     for (std::size_t c = t; c < count; c += team) {
       ChunkScratch& chunk = chunks_[c];
       std::uint32_t* out = chunk.pairs.data();
+      std::uint8_t* images = chunk.images.data();
       const std::size_t cap = chunk.pairs.size();
       const std::size_t end = chunk_end(c);
       std::size_t i = chunk.next;
       std::size_t used = chunk.used;
       for (; i < end; ++i) {
         const std::size_t row = used;
-        if (!append_row<Mode>(i, range2, out, cap, used)) {
+        if (!append_row<Mode>(i, range2, out, images, cap, used)) {
           used = row;
           break;
         }
-        if (config_.sort_neighbors) std::sort(out + row, out + used);
+        if (config_.sort_neighbors) {
+          sort_row(out + row, images + row, used - row, chunk.keys.data());
+        }
         neigh_len_[i] = static_cast<std::uint32_t>(used - row);
       }
       chunk.next = i;
@@ -159,8 +202,10 @@ bool NeighborList::enumerate_and_compact(double range2,
                 : 0;
         if (neigh_list_.capacity() < needed) {
           neigh_list_.reserve(needed + needed / 8);
+          neigh_image_.reserve(needed + needed / 8);
         }
         neigh_list_.resize(needed);
+        neigh_image_.resize(needed);
         if (config_.pad_width > 1 &&
             padded_list_.capacity() < needed + pad_slack) {
           padded_list_.reserve(needed + needed / 8 + pad_slack);
@@ -172,8 +217,10 @@ bool NeighborList::enumerate_and_compact(double range2,
     if (complete) {
       for (std::size_t c = t; c < count; c += team) {
         const ChunkScratch& chunk = chunks_[c];
-        std::copy_n(chunk.pairs.data(), chunk.used,
-                    neigh_list_.data() + neigh_index_[chunk_begin(c)]);
+        const std::size_t at = neigh_index_[chunk_begin(c)];
+        std::copy_n(chunk.pairs.data(), chunk.used, neigh_list_.data() + at);
+        std::copy_n(chunk.images.data(), chunk.used,
+                    neigh_image_.data() + at);
       }
     }
   }
@@ -188,6 +235,12 @@ void NeighborList::build(std::span<const Vec3> positions) {
   const double t0 = wall_time();
   cells_.build(positions);
   const double t1 = wall_time();
+  if (cells_.far_atoms() > 0) {
+    clear_rows();
+    throw PreconditionError(
+        "neighbor list: a position lies one edge or more outside the box, "
+        "or is not finite; wrap positions before building");
+  }
 
   // Entries per atom to reserve for: the last build's mean, or before the
   // first build the count a uniform density puts within range.
@@ -214,8 +267,16 @@ void NeighborList::build(std::span<const Vec3> positions) {
       ChunkScratch& chunk = chunks_[c];
       if (chunk.next != chunk_end(c)) {
         chunk.pairs.resize(2 * chunk.pairs.size() + kChunkSlack);
+        chunk.images.resize(chunk.pairs.size());
       }
     }
+  }
+  if (cells_.wrapped_atoms() > 0 && !fold_wraps()) {
+    clear_rows();
+    throw PreconditionError(
+        "neighbor list: two neighbors lie so far outside opposite faces of "
+        "the box that their image has no code; wrap positions before "
+        "building");
   }
   if (config_.pad_width > 1) build_padded_tiles();
 
@@ -231,6 +292,35 @@ void NeighborList::build(std::span<const Vec3> positions) {
   stats_.count_seconds += stats_.last_count_seconds;
   stats_.fill_seconds += stats_.last_fill_seconds;
   stats_.stencil_rebuilds = cells_.stencil_rebuilds();
+}
+
+bool NeighborList::fold_wraps() {
+  const std::size_t n = neigh_len_.size();
+  bool coded = true;
+#pragma omp parallel for schedule(static) reduction(&& : coded)
+  for (std::size_t i = 0; i < n; ++i) {
+    const int wrap_i = cells_.wrap_code(i);
+    for (std::size_t k = neigh_index_[i]; k < neigh_index_[i + 1]; ++k) {
+      const int wrap_j = cells_.wrap_code(neigh_list_[k]);
+      if (wrap_i == CellList::kUnwrapped && wrap_j == CellList::kUnwrapped) {
+        continue;
+      }
+      const int folded = fold_image(neigh_image_[k], wrap_i, wrap_j);
+      coded = coded && folded >= 0;
+      neigh_image_[k] = static_cast<std::uint8_t>(std::max(folded, 0));
+    }
+  }
+  return coded;
+}
+
+void NeighborList::clear_rows() {
+  neigh_len_.clear();
+  neigh_index_.assign(1, 0);
+  neigh_list_.clear();
+  neigh_image_.clear();
+  tile_index_.clear();
+  padded_list_.clear();
+  positions_at_build_.clear();
 }
 
 void NeighborList::build_padded_tiles() {
@@ -285,9 +375,7 @@ bool NeighborList::needs_rebuild(std::span<const Vec3> positions) const {
   // Early exit on the FIRST atom past skin/2: in the common
   // must-rebuild case this touches a handful of atoms, not all N.
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (box_.distance2(positions[i], positions_at_build_[i]) > limit2) {
-      return true;
-    }
+    if (norm2(positions[i] - positions_at_build_[i]) > limit2) return true;
   }
   return false;
 }
@@ -312,7 +400,9 @@ bool NeighborList::built_from(const Box& box,
 std::size_t NeighborList::scratch_bytes() const {
   std::size_t bytes = 0;
   for (const ChunkScratch& chunk : chunks_) {
-    bytes += chunk.pairs.size() * sizeof(std::uint32_t);
+    bytes += chunk.pairs.size() * sizeof(std::uint32_t) +
+             chunk.images.size() * sizeof(std::uint8_t) +
+             chunk.keys.size() * sizeof(std::uint64_t);
   }
   return bytes;
 }
@@ -321,6 +411,7 @@ std::size_t NeighborList::memory_bytes() const {
   return neigh_index_.size() * sizeof(std::size_t) +
          neigh_len_.size() * sizeof(std::uint32_t) +
          neigh_list_.size() * sizeof(std::uint32_t) +
+         neigh_image_.size() * sizeof(std::uint8_t) +
          tile_index_.size() * sizeof(std::size_t) +
          padded_list_.size() * sizeof(std::uint32_t) +
          positions_at_build_.size() * sizeof(Vec3) + scratch_bytes() +

@@ -16,12 +16,34 @@
 // contiguous chunk of atoms into its own scratch buffer, one prefix sum
 // over neigh_len gives neigh_index, and each thread copies its buffer into
 // neigh_list at its chunk's offset. Rows and their order do not depend on
-// the team size.
+// the team size. Unless sort_neighbors is set, a row keeps the stencil's
+// order: cells ascending, ids ascending within a cell.
+//
+// Every stored pair also records the periodic image it was found through,
+// one byte beside its neighbor id (neigh_image, a CellList::image_code).
+// The rows compute the pair's displacement as
+//   dr = (x_i - x_j) - image_shift(code)          (displacement())
+// with no minimum image. For the positions passed to build() this is
+// bitwise Box::minimum_image(x_i, x_j), and it stays so until the next
+// build as long as no pair's displacement moves by half an edge: the
+// Verlet criterion (skin/2 per atom, edges >= 2 * (cutoff + skin)) keeps
+// every pair within the cutoff far inside that. The shifts belong to the
+// box of the last build, so the force computers refuse a list that was
+// not built for the box they are given (built_for()).
+//
+// The cell list wraps positions before binning; each atom's wrap is folded
+// into its pairs' codes, so positions may lie outside the box. A folded
+// code must stay in {-1, 0, 1} on every axis. That fails only when a
+// position lies one edge or more outside the box, or when two neighbors
+// stick out beyond opposite faces of an axis by more than L - range
+// together (at least half an edge); build() then throws
+// PreconditionError. Positions less than a quarter edge outside never do.
 //
 // The public arrays mirror the paper's pseudocode names:
 //   neigh_index[i] : offset of atom i's sublist   (the paper's neighindex)
 //   neigh_len[i]   : its length                   (the paper's neighlen)
 //   neigh_list[]   : concatenated neighbor ids    (the paper's neighlist)
+//   neigh_image[]  : each stored pair's image code
 #pragma once
 
 #include <cstdint>
@@ -42,7 +64,8 @@ struct NeighborListConfig {
                         ///< moves more than skin/2 since the last build
   NeighborMode mode = NeighborMode::Half;
   bool sort_neighbors = false;  ///< ascending j within each sublist
-                                ///< (the paper's Section II.D reordering)
+                                ///< (the paper's Section II.D reordering);
+                                ///< image codes move with their ids
   /// > 1: every build() also emits vector-width-padded neighbor tiles
   /// (tile_index()/padded_list()): each atom's sublist rounded up to a
   /// multiple of pad_width, out-of-range slots filled with the sentinel
@@ -60,10 +83,11 @@ struct NeighborBuildStats {
   std::size_t stencil_rebuilds = 0; ///< initial build + one per reshape
   double bin_seconds = 0.0;    ///< cell binning and the cell-order
                                ///< position copy (cumulative)
-  double count_seconds = 0.0;  ///< enumeration pass, rows sorted when asked
-                               ///< (cumulative)
-  double fill_seconds = 0.0;   ///< compaction into the CSR arrays, padded
-                               ///< tiles and staleness snapshot (cumulative)
+  double count_seconds = 0.0;  ///< enumeration pass with the image codes,
+                               ///< rows sorted when asked (cumulative)
+  double fill_seconds = 0.0;   ///< compaction into the CSR arrays, wrap
+                               ///< folding, padded tiles and staleness
+                               ///< snapshot (cumulative)
   double last_bin_seconds = 0.0;
   double last_count_seconds = 0.0;
   double last_fill_seconds = 0.0;
@@ -74,6 +98,9 @@ class NeighborList {
   NeighborList(const Box& box, NeighborListConfig config);
 
   /// Rebuild from scratch (also records positions for staleness checks).
+  /// Throws PreconditionError when a position lies too far outside the box
+  /// for its pairs' images to have codes (see the header comment); the
+  /// list is then left empty, so every computer refuses it.
   void build(std::span<const Vec3> positions);
 
   /// Adapt to a changed box in place - storage is reused; the embedded cell
@@ -86,8 +113,10 @@ class NeighborList {
   /// through update_box() instead of reconstruction.
   bool config_compatible(const NeighborListConfig& other) const;
 
-  /// True when some atom has drifted more than skin/2 since build() -
-  /// the classic safe-rebuild criterion.
+  /// True when some atom has moved more than skin/2 since build() - the
+  /// classic safe-rebuild criterion. The move is measured without minimum
+  /// image, so a position wrapped since the build (which the stored images
+  /// no longer describe) also asks for a rebuild.
   bool needs_rebuild(std::span<const Vec3> positions) const;
 
   std::size_t atom_count() const { return neigh_len_.size(); }
@@ -98,10 +127,37 @@ class NeighborList {
     return {neigh_list_.data() + neigh_index_[i], neigh_len_[i]};
   }
 
+  /// Image codes of atom i's neighbors, entry for entry.
+  std::span<const std::uint8_t> images(std::size_t i) const {
+    return {neigh_image_.data() + neigh_index_[i], neigh_len_[i]};
+  }
+
   // Raw CSR arrays for the kernels (paper naming).
   const std::vector<std::size_t>& neigh_index() const { return neigh_index_; }
   const std::vector<std::uint32_t>& neigh_len() const { return neigh_len_; }
   const std::vector<std::uint32_t>& neigh_list() const { return neigh_list_; }
+  /// Image code of each neigh_list entry (CellList::image_code).
+  const std::vector<std::uint8_t>& neigh_image() const { return neigh_image_; }
+
+  /// Shift (L_x s_x, L_y s_y, L_z s_z) of image code `code`, for the box
+  /// of the last build.
+  const Vec3& image_shift(std::size_t code) const {
+    return cells_.image_shift(code);
+  }
+
+  /// x_i - x_j for a stored pair with image code `code`: bitwise
+  /// Box::minimum_image(x_i, x_j) under the conditions in the header
+  /// comment. Every row computes its displacements through this.
+  Vec3 displacement(const Vec3& xi, const Vec3& xj, std::size_t code) const {
+    const Vec3& s = image_shift(code);
+    return {(xi.x - xj.x) - s.x, (xi.y - xj.y) - s.y, (xi.z - xj.z) - s.z};
+  }
+
+  /// True when the list was last built for exactly `box`, so the image
+  /// shifts are that box's. Force computers check this before they run.
+  bool built_for(const Box& box) const {
+    return stats_.builds > 0 && box == built_box_;
+  }
 
   // Vector-width-padded neighbor tiles (built when config.pad_width > 1).
   // tile_index()[i] is the start of atom i's padded block in padded_list()
@@ -156,9 +212,12 @@ class NeighborList {
 
  private:
   /// One chunk's enumeration buffer: the rows of atoms
-  /// [chunk_begin, next) back to back in pairs[0, used).
+  /// [chunk_begin, next) back to back in pairs[0, used), their image codes
+  /// in images[0, used). `keys` is a sorted row's (id, code) scratch.
   struct ChunkScratch {
     std::vector<std::uint32_t> pairs;
+    std::vector<std::uint8_t> images;
+    std::vector<std::uint64_t> keys;
     std::size_t used = 0;
     std::size_t next = 0;
   };
@@ -170,13 +229,20 @@ class NeighborList {
   void reserve_chunks(double per_atom);
   template <NeighborMode Mode>
   bool append_row(std::size_t i, double range2, std::uint32_t* out,
-                  std::size_t cap, std::size_t& used) const;
+                  std::uint8_t* images, std::size_t cap,
+                  std::size_t& used) const;
   /// One parallel region: enumerate every unfinished chunk, stamp
   /// `enumerated_at`, then (master) the prefix sum, then the compaction.
   /// False when a chunk's buffer filled up; the CSR arrays are then left
   /// for the next pass.
   template <NeighborMode Mode>
   bool enumerate_and_compact(double range2, double& enumerated_at);
+
+  /// Fold each atom's wrap into its pairs' image codes; false when a
+  /// folded code leaves {-1, 0, 1} on some axis.
+  bool fold_wraps();
+  /// Leave the list empty after a build that could not code its images.
+  void clear_rows();
 
   void build_padded_tiles();
 
@@ -186,6 +252,7 @@ class NeighborList {
   std::vector<std::size_t> neigh_index_;
   std::vector<std::uint32_t> neigh_len_;
   std::vector<std::uint32_t> neigh_list_;
+  std::vector<std::uint8_t> neigh_image_;
   std::vector<std::size_t> tile_index_;     ///< pad_width > 1 only
   std::vector<std::uint32_t> padded_list_;  ///< pad_width > 1 only
   std::vector<Vec3> positions_at_build_;

@@ -104,7 +104,7 @@ TEST(CellList, RunsAreAscendingAndMergeWholeColumns) {
   const Box box = Box::cubic(15.0);
   CellList cells(box, 3.0);  // 5x5x5 grid
   for (std::size_t c = 0; c < cells.cell_count(); ++c) {
-    for (const auto runs : {cells.runs(c), cells.half_runs(c)}) {
+    for (const auto& runs : {cells.runs(c), cells.half_runs(c)}) {
       for (std::size_t r = 1; r < runs.size(); ++r) {
         EXPECT_LE(runs[r - 1].first + runs[r - 1].cells, runs[r].first);
       }
@@ -251,6 +251,128 @@ TEST(CellList, HalfStencilOwnsEachAdjacencyOnceOnMixedPeriodicity) {
   const Box box({0, 0, 0}, {7.0, 9.0, 12.0}, {true, false, true});
   CellList cells(box, 3.0);  // 2x3x4, mixed wrap/truncate
   check_half_stencil_invariant(cells);
+}
+
+/// The runs of `cell` constructed from that cell alone, as every cell
+/// once stored them: its stencil entries ascending by (cell, image),
+/// cut at the cell itself for the half stencil, merged into runs.
+std::vector<StencilRun> per_cell_runs(const CellList& cells, const Box& box,
+                                      std::size_t cell, bool half) {
+  const int n[3] = {cells.nx(), cells.ny(), cells.nz()};
+  const int at[3] = {static_cast<int>(cell / (n[1] * n[2])),
+                     static_cast<int>(cell / n[2] % n[1]),
+                     static_cast<int>(cell % n[2])};
+  std::vector<Entry> entries;
+  for (int dx = -1; dx <= 1; ++dx) {
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dz = -1; dz <= 1; ++dz) {
+        const int d[3] = {dx, dy, dz};
+        int idx[3], image[3];
+        bool valid = true;
+        for (int a = 0; a < 3; ++a) {
+          idx[a] = at[a] + d[a];
+          image[a] = idx[a] < 0 ? -1 : idx[a] >= n[a] ? 1 : 0;
+          if (image[a] != 0 && !box.periodic(a)) valid = false;
+          idx[a] -= image[a] * n[a];
+        }
+        if (!valid) continue;
+        entries.emplace_back((static_cast<std::size_t>(idx[0]) * n[1] +
+                              static_cast<std::size_t>(idx[1])) * n[2] +
+                                 static_cast<std::size_t>(idx[2]),
+                             CellList::image_code(image[0], image[1],
+                                                  image[2]));
+      }
+    }
+  }
+  std::sort(entries.begin(), entries.end());
+  if (half) {
+    std::erase_if(entries, [&](const Entry& e) { return e.first < cell; });
+  }
+  std::vector<StencilRun> runs;
+  for (const auto& [c, image] : entries) {
+    if (!runs.empty() && runs.back().image == image &&
+        runs.back().first + runs.back().cells == c) {
+      ++runs.back().cells;
+    } else {
+      runs.push_back({static_cast<std::uint32_t>(c), 1,
+                      static_cast<std::uint16_t>(image)});
+    }
+  }
+  return runs;
+}
+
+TEST(CellList, ClassTablesResolveToEachCellsOwnRuns) {
+  // The runs are stored once per boundary class (first, interior or last
+  // on each axis). On grids with 1 (open), 2, 3 and more cells per axis,
+  // every cell's resolved runs must equal the ones built from the cell
+  // alone, and the stencil must still cover every pair exactly once.
+  const double range = 3.0;
+  const std::vector<Box> boxes{
+      Box({0, 0, 0}, {2.5, 9.5, 13.0}, {false, true, true}),    // 1 x 3 x 4
+      Box::cubic(7.0),                                          // 2 x 2 x 2
+      Box({0, 0, 0}, {7.0, 2.9, 16.0}, {true, false, true}),    // 2 x 1 x 5
+      Box({0, 0, 0}, {9.5, 13.0, 6.5}, {false, false, false}),  // 3 x 4 x 2
+      Box({0, 0, 0}, {15.0, 12.0, 9.5}),                        // 5 x 4 x 3
+  };
+  for (const Box& box : boxes) {
+    const CellList cells(box, range);
+    const std::string grid = std::to_string(cells.nx()) + "x" +
+                             std::to_string(cells.ny()) + "x" +
+                             std::to_string(cells.nz());
+    for (std::size_t c = 0; c < cells.cell_count(); ++c) {
+      for (const bool half : {false, true}) {
+        const StencilRuns got = half ? cells.half_runs(c) : cells.runs(c);
+        const auto want = per_cell_runs(cells, box, c, half);
+        ASSERT_EQ(got.size(), want.size())
+            << grid << " cell " << c << " half " << half;
+        for (std::size_t r = 0; r < want.size(); ++r) {
+          EXPECT_EQ(got[r].first, want[r].first) << grid << " cell " << c;
+          EXPECT_EQ(got[r].cells, want[r].cells) << grid << " cell " << c;
+          EXPECT_EQ(got[r].image, want[r].image) << grid << " cell " << c;
+        }
+      }
+    }
+    check_half_stencil_invariant(cells);
+    CellList binned(box, range);
+    const auto points = random_points(box, 150, 31);
+    binned.build(points);
+    expect_pairs_covered_once(box, binned, points, range);
+  }
+}
+
+TEST(CellList, BinningRecordsEachAtomsWrap) {
+  // wrap_code() is the image the binning wrapped an atom from: its
+  // wrapped position is x - L * a. Atoms one edge or more outside have no
+  // code.
+  const Box box = Box::cubic(12.0);
+  CellList cells(box, 3.0);
+  const std::vector<Vec3> points{{6.0, 6.0, 6.0},    {13.0, 1.0, 1.0},
+                                 {-1.0, 5.0, 11.5},  {-1.0, 13.0, -0.5},
+                                 {25.0, 1.0, 1.0},   {6.0, -12.5, 6.0}};
+  cells.build(points);
+  EXPECT_EQ(cells.wrap_code(0), CellList::kUnwrapped);
+  EXPECT_EQ(cells.wrap_code(1), CellList::image_code(1, 0, 0));
+  EXPECT_EQ(cells.wrap_code(2), CellList::image_code(-1, 0, 0));
+  EXPECT_EQ(cells.wrap_code(3), CellList::image_code(-1, 1, -1));
+  EXPECT_EQ(cells.wrap_code(4), CellList::kFarOutside);
+  EXPECT_EQ(cells.wrap_code(5), CellList::kFarOutside);
+  EXPECT_EQ(cells.wrapped_atoms(), 5u);
+  EXPECT_EQ(cells.far_atoms(), 2u);
+  // Parallel binning records the same codes.
+  std::vector<Vec3> many;
+  Xoshiro256 rng(32);
+  for (int i = 0; i < 5000; ++i) {
+    many.push_back({rng.uniform(-6.0, 18.0), rng.uniform(-6.0, 18.0),
+                    rng.uniform(-6.0, 18.0)});
+  }
+  CellList serial(box, 3.0), parallel(box, 3.0);
+  serial.build(many, /*parallel=*/false);
+  parallel.build(many, /*parallel=*/true);
+  for (std::size_t i = 0; i < many.size(); ++i) {
+    EXPECT_EQ(parallel.wrap_code(i), serial.wrap_code(i));
+  }
+  EXPECT_EQ(parallel.wrapped_atoms(), serial.wrapped_atoms());
+  EXPECT_EQ(parallel.far_atoms(), 0u);
 }
 
 TEST(CellList, UpdateBoxWithoutReshapeKeepsStencils) {

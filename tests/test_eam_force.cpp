@@ -1,9 +1,10 @@
 // Physics and bookkeeping of the three-phase EAM force engine: Newton's
 // third law, finite-difference gradients of the total energy, symmetry,
 // SDC at every dimensionality, the pair cache across rebuilds, the work
-// counters, and the virtual-call fallback for potentials without inline
-// bodies. Strategy-by-strategy equivalence to the serial reference lives
-// in test_conformance.
+// counters, the virtual-call fallback for potentials without inline
+// bodies, and every computer's refusal of a list built for another box.
+// Strategy-by-strategy equivalence to the serial reference lives in
+// test_conformance.
 #include "core/eam_force.hpp"
 
 #include <gtest/gtest.h>
@@ -12,13 +13,19 @@
 #include <cmath>
 #include <string>
 
+#include "analysis/stress.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "common/units.hpp"
+#include "core/alloy_force.hpp"
 #include "core/cell_task_schedule.hpp"
+#include "core/pair_force.hpp"
 #include "core/sdc_schedule.hpp"
 #include "geom/lattice.hpp"
+#include "potential/alloy.hpp"
 #include "potential/finnis_sinclair.hpp"
+#include "potential/johnson.hpp"
+#include "potential/lennard_jones.hpp"
 #include "potential/tabulated.hpp"
 
 namespace sdcmd {
@@ -177,9 +184,10 @@ TEST(EamForce, PairCacheResizesAcrossNeighborRebuilds) {
                 1e-12 * std::max(1.0, std::abs(reference.rho[i])));
     EXPECT_NEAR(norm(force[i] - reference.force[i]), 0.0, 1e-11);
   }
-  // 40 B/pair high-water footprint (24 B dr + 8 B r + 8 B dphidr). The
-  // growth reserves 12.5 % slack, not the vectors' doubling.
-  constexpr std::size_t kBytesPerPair = sizeof(Vec3) + 2 * sizeof(double);
+  // 16 B/pair high-water footprint (8 B r + 8 B dphidr; the force row
+  // rebuilds dr from the list's image code). The growth reserves 12.5 %
+  // slack, not the vectors' doubling.
+  constexpr std::size_t kBytesPerPair = 2 * sizeof(double);
   EXPECT_GE(computer.stats().pair_cache_bytes, pairs * kBytesPerPair);
   EXPECT_LE(computer.stats().pair_cache_bytes,
             (pairs + pairs / 8) * kBytesPerPair);
@@ -371,8 +379,7 @@ TEST(EamForce, StatsCountersTrackWork) {
   // Pair cache on by default: every CSR slot stored then read, each step.
   EXPECT_EQ(stats.cache_store_slots, 2 * w.half->pair_count());
   EXPECT_EQ(stats.cache_read_slots, 2 * w.half->pair_count());
-  EXPECT_GE(stats.pair_cache_bytes,
-            w.half->pair_count() * (sizeof(Vec3) + 2 * sizeof(double)));
+  EXPECT_GE(stats.pair_cache_bytes, w.half->pair_count() * 2 * sizeof(double));
 
   computer.reset_instrumentation();
   EXPECT_EQ(computer.stats().density_pair_visits, 0u);
@@ -419,6 +426,82 @@ TEST(EamForce, SdcWithoutScheduleThrows) {
   std::vector<Vec3> force(w.positions.size());
   EXPECT_THROW(
       computer.compute(w.box, w.positions, *w.half, rho, fp, force),
+      PreconditionError);
+}
+
+TEST(EamForce, EveryComputerRefusesAListBuiltForAnotherBox) {
+  // The rows take each pair's displacement from the image code the list
+  // stored, shifted by the edges of the box the list was built for. With
+  // any other box they would silently use the wrong shifts, so every
+  // computer checks the box before its region opens - also for a list
+  // moved to the new box through update_box() but not rebuilt.
+  Workload w(6);
+  Box other = w.box;
+  other.rescale({1.01, 1.01, 1.01});
+  NeighborList moved(w.box, w.half->config());
+  moved.build(w.positions);
+  moved.update_box(other);
+  const std::size_t n = w.positions.size();
+  std::vector<double> rho(n), fp(n);
+  std::vector<Vec3> force(n);
+  const double range = w.potential.cutoff() + kSkin;
+
+  for (const ReductionStrategy strategy : kAllStrategies) {
+    EamForceConfig cfg;
+    cfg.strategy = strategy;
+    EamForceComputer computer(w.potential, cfg);
+    computer.attach_schedule(w.box, range);
+    computer.on_neighbor_rebuild(w.positions);
+    const NeighborList& list =
+        required_mode(strategy) == NeighborMode::Full ? *w.full : *w.half;
+    EXPECT_NO_THROW(computer.compute(w.box, w.positions, list, rho, fp, force))
+        << to_string(strategy);
+    EXPECT_THROW(computer.compute(other, w.positions, list, rho, fp, force),
+                 PreconditionError)
+        << to_string(strategy);
+    if (list.mode() == NeighborMode::Half) {
+      EXPECT_THROW(computer.compute(other, w.positions, moved, rho, fp, force),
+                   PreconditionError)
+          << to_string(strategy);
+    }
+  }
+
+  EamForceComputer serial(w.potential, EamForceConfig{});
+  EXPECT_THROW(serial.compute_serial_reference(other, w.positions, *w.half,
+                                               rho, fp, force),
+               PreconditionError);
+  EXPECT_THROW(serial.compute_serial_reference(other, w.positions, moved, rho,
+                                               fp, force),
+               PreconditionError);
+
+  const LennardJones lj(0.1, 2.3, w.potential.cutoff());
+  PairForceComputer pair(lj, PairForceConfig{ReductionStrategy::Serial, {}});
+  EXPECT_NO_THROW(pair.compute(w.box, w.positions, *w.half, force));
+  EXPECT_THROW(pair.compute(other, w.positions, *w.half, force),
+               PreconditionError);
+
+  const JohnsonEam cu(JohnsonParams::copper());
+  const JohnsonMixedAlloy alloy(
+      {{&w.potential, units::kMassFe, "Fe"}, {&cu, 63.546, "Cu"}});
+  NeighborListConfig alloy_cfg = w.half->config();
+  alloy_cfg.cutoff = alloy.cutoff();
+  NeighborList alloy_list(w.box, alloy_cfg);
+  alloy_list.build(w.positions);
+  const std::vector<std::uint8_t> types(n, 0);
+  AlloyForceComputer alloy_computer(
+      alloy, AlloyForceConfig{ReductionStrategy::Serial, {}});
+  EXPECT_NO_THROW(alloy_computer.compute(w.box, w.positions, types,
+                                         alloy_list, rho, fp, force));
+  EXPECT_THROW(alloy_computer.compute(other, w.positions, types, alloy_list,
+                                      rho, fp, force),
+               PreconditionError);
+
+  const PerAtomStress stress(w.potential);
+  std::vector<StressTensor> tensors;
+  EXPECT_NO_THROW(
+      stress.compute(w.box, w.positions, {}, 1.0, *w.half, fp, tensors));
+  EXPECT_THROW(
+      stress.compute(other, w.positions, {}, 1.0, *w.half, fp, tensors),
       PreconditionError);
 }
 

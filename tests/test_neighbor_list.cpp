@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -62,6 +63,7 @@ struct ListArrays {
   std::vector<std::size_t> index;
   std::vector<std::uint32_t> len;
   std::vector<std::uint32_t> list;
+  std::vector<std::uint8_t> image;
   std::vector<std::size_t> tile_index;
   std::vector<std::uint32_t> padded;
 
@@ -69,16 +71,47 @@ struct ListArrays {
       : index(l.neigh_index()),
         len(l.neigh_len()),
         list(l.neigh_list()),
+        image(l.neigh_image()),
         tile_index(l.tile_index()),
         padded(l.padded_list()) {}
   friend bool operator==(const ListArrays&, const ListArrays&) = default;
 };
 
+bool same_bits(const Vec3& a, const Vec3& b) {
+  using Bits = std::uint64_t;
+  return std::bit_cast<Bits>(a.x) == std::bit_cast<Bits>(b.x) &&
+         std::bit_cast<Bits>(a.y) == std::bit_cast<Bits>(b.y) &&
+         std::bit_cast<Bits>(a.z) == std::bit_cast<Bits>(b.z);
+}
+
+/// The list's invariant: for every stored pair, (x_i - x_j) minus the shift
+/// of its image code is bitwise Box::minimum_image(x_i, x_j) at `points`.
+void expect_images_are_minimum_image(const NeighborList& list, const Box& box,
+                                     std::span<const Vec3> points,
+                                     const std::string& where) {
+  ASSERT_EQ(list.neigh_image().size(), list.pair_count()) << where;
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < list.atom_count(); ++i) {
+    const auto nbrs = list.neighbors(i);
+    const auto images = list.images(i);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const std::uint8_t code = images[k];
+      ASSERT_LT(code, 27) << where;
+      const Vec3 coded = list.displacement(points[i], points[nbrs[k]], code);
+      const Vec3 expected = box.minimum_image(points[i], points[nbrs[k]]);
+      if (!same_bits(coded, expected)) ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << where << ": pairs whose image code is not the "
+                                   "minimum image";
+}
+
 // Exact pair-for-pair comparison against the O(N^2) reference for both
 // modes: the half list, and the full list (whose stored entries, folded
 // to unordered pairs, must halve to the same set). Every variant must
-// match: rows sorted and unsorted, at teams 1-4, with the CSR arrays
-// bitwise equal across team sizes. With `first_box`, each list is built
+// match: rows sorted and unsorted, at teams 1-4, with the CSR arrays and
+// image codes bitwise equal across team sizes, and every pair's code
+// giving its minimum image bitwise. With `first_box`, each list is built
 // there first (from `first_points`) and moved to `box` through
 // update_box() without a grid reshape, as a barostat does.
 void expect_all_paths_match_brute_force(
@@ -110,6 +143,8 @@ void expect_all_paths_match_brute_force(
         EXPECT_EQ(list.stats().stencil_rebuilds, 1u) << where;
         EXPECT_EQ(list.pair_count(), stored * expected.size()) << where;
         EXPECT_EQ(pairs_from_half_list(list), expected) << where;
+        EXPECT_TRUE(list.built_for(box)) << where;
+        expect_images_are_minimum_image(list, box, points, where);
         if (!reference) {
           reference.emplace(list);
         } else {
@@ -320,6 +355,19 @@ TEST(NeighborList, NeedsRebuildAfterDriftBeyondHalfSkin) {
   EXPECT_TRUE(list.needs_rebuild(points));
 }
 
+TEST(NeighborList, NeedsRebuildAfterAPositionIsWrapped) {
+  // A wrapped position is the same point in the periodic box, but the
+  // image codes stored for its pairs no longer describe it.
+  const Box box = Box::cubic(13.0);
+  auto points = random_points(box, 50, 8);
+  NeighborListConfig cfg;
+  cfg.cutoff = 3.0;
+  NeighborList list(box, cfg);
+  list.build(points);
+  points[10].x += box.length(0);
+  EXPECT_TRUE(list.needs_rebuild(points));
+}
+
 TEST(NeighborList, NeedsRebuildOnAtomCountChange) {
   const Box box = Box::cubic(13.0);
   const auto points = random_points(box, 50, 8);
@@ -370,15 +418,30 @@ TEST(NeighborList, MemoryAccountingIncludesEveryComponent) {
       list.neigh_index().size() * sizeof(std::size_t) +
       list.neigh_len().size() * sizeof(std::uint32_t) +
       list.neigh_list().size() * sizeof(std::uint32_t) +
+      list.neigh_image().size() * sizeof(std::uint8_t) +
       points.size() * sizeof(Vec3) + list.scratch_bytes() +
       list.cells().memory_bytes();
   EXPECT_EQ(list.memory_bytes(), expected);
   // The cell list's gauge covers its cell-order copy: x/y/z, the slot
-  // ids and the atom -> slot and atom -> cell maps.
-  EXPECT_GE(list.cells().memory_bytes(),
-            points.size() * (3 * sizeof(double) + 3 * sizeof(std::uint32_t)));
-  // The scratch holds every row between builds.
-  EXPECT_GE(list.scratch_bytes(), list.pair_count() * sizeof(std::uint32_t));
+  // ids, the atom -> slot and atom -> cell maps and the wrap codes.
+  const std::size_t per_atom = 3 * sizeof(double) +
+                               3 * sizeof(std::uint32_t) +
+                               sizeof(std::uint8_t);
+  EXPECT_GE(list.cells().memory_bytes(), points.size() * per_atom);
+  // Its stencil runs are stored per boundary class, not per cell: beyond
+  // the per-atom arrays it holds a cell start, a class byte and a
+  // histogram slot per thread for each cell, plus at most 27 tables.
+  const std::size_t cells = list.cells().cell_count();
+  const std::size_t per_cell =
+      sizeof(std::uint32_t) + sizeof(std::uint8_t) +
+      static_cast<std::size_t>(max_threads()) * sizeof(std::uint32_t);
+  const std::size_t tables = (2 * 27 + 1) * sizeof(std::uint32_t) +
+                             27 * (27 + 14) * sizeof(StencilRun);
+  EXPECT_LE(list.cells().memory_bytes(),
+            points.size() * per_atom + (cells + 1) * per_cell + tables);
+  // The scratch holds every row, and its image codes, between builds.
+  EXPECT_GE(list.scratch_bytes(),
+            list.pair_count() * (sizeof(std::uint32_t) + sizeof(std::uint8_t)));
   EXPECT_GT(list.memory_bytes(),
             list.pair_count() * sizeof(std::uint32_t));
 }
@@ -645,6 +708,113 @@ TEST(NeighborList, RescaledBoxWithoutReshapeMatchesBruteForce) {
   std::vector<Vec3> after;
   for (const Vec3& r : before) after.push_back(grown.affine_map(r, box));
   expect_all_paths_match_brute_force(grown, after, cutoff, &box, before);
+}
+
+TEST(NeighborList, OneCellOpenAxisMatchesBruteForce) {
+  // An open axis shorter than the range has a single cell, whose stencil
+  // has no neighbor on that axis.
+  const double cutoff = 3.0;
+  const Box box({0, 0, 0}, {2.5, 9.5, 13.0}, {false, true, true});
+  ASSERT_EQ(CellList(box, cutoff).nx(), 1);
+  expect_all_paths_match_brute_force(box, random_points(box, 200, 29),
+                                     cutoff);
+}
+
+TEST(NeighborList, PositionsOutsideTheBoxFoldTheirWrapIntoTheCodes) {
+  // The cell list bins wrapped positions; each atom's wrap is folded into
+  // its pairs' codes, so the codes describe the positions as given.
+  const double cutoff = 3.0;
+  const Box box({0, 0, 0}, {9.5, 13.0, 10.0});  // 3 x 4 x 3 cells
+  // The whole configuration shifted by up to 0.4 of an edge per axis.
+  const Vec3 shift{0.4 * 9.5, -0.4 * 13.0, 0.25 * 10.0};
+  std::vector<Vec3> shifted = random_points(box, 300, 24);
+  for (Vec3& r : shifted) r += shift;
+  expect_all_paths_match_brute_force(box, shifted, cutoff);
+  // Atoms scattered up to a quarter edge beyond every face.
+  Xoshiro256 rng(25);
+  std::vector<Vec3> spread(300);
+  for (Vec3& r : spread) {
+    r = {rng.uniform(-0.24 * 9.5, 1.24 * 9.5),
+         rng.uniform(-0.24 * 13.0, 1.24 * 13.0),
+         rng.uniform(-0.24 * 10.0, 1.24 * 10.0)};
+  }
+  expect_all_paths_match_brute_force(box, spread, cutoff);
+}
+
+TEST(NeighborList, CodesHoldWhileAtomsMoveLessThanHalfTheSkin) {
+  // Between builds the rows keep using the codes: after every atom moved
+  // by just under skin/2 (some out of the box), each stored pair's code
+  // must still give its minimum image bitwise, with no rebuild due.
+  ThreadCountGuard guard;
+  const Box box = Box::cubic(13.0);  // edges > 2 * (cutoff + 2 * skin)
+  const auto points = random_points(box, 400, 26);
+  NeighborListConfig base;
+  base.cutoff = 2.6;
+  base.skin = 0.6;
+  Xoshiro256 rng(27);
+  std::vector<Vec3> moved = points;
+  for (Vec3& r : moved) {
+    const Vec3 d{rng.normal(0.0, 1.0), rng.normal(0.0, 1.0),
+                 rng.normal(0.0, 1.0)};
+    r += (0.999 * 0.5 * base.skin / norm(d)) * d;
+  }
+  for (const NeighborMode mode : {NeighborMode::Half, NeighborMode::Full}) {
+    for (const bool sorted : {false, true}) {
+      for (int team = 1; team <= 4; ++team) {
+        set_threads(team);
+        NeighborListConfig cfg = base;
+        cfg.mode = mode;
+        cfg.sort_neighbors = sorted;
+        NeighborList list(box, cfg);
+        list.build(points);
+        const std::string where =
+            std::string(mode == NeighborMode::Half ? "half" : "full") +
+            " list, sorted " + std::to_string(sorted) + ", team " +
+            std::to_string(team);
+        EXPECT_FALSE(list.needs_rebuild(moved)) << where;
+        expect_images_are_minimum_image(list, box, moved, where);
+      }
+    }
+  }
+}
+
+TEST(NeighborList, PositionsBeyondTheLimitThrowAndLeaveTheListEmpty) {
+  const double cutoff = 3.0;
+  const Box box = Box::cubic(9.5);  // 3 cells per axis
+  const auto points = random_points(box, 100, 28);
+  // One atom two edges outside the box.
+  std::vector<Vec3> far = points;
+  far[5].x += 2.0 * box.length(0);
+  // Two atoms 1.0 apart through the x boundary, sticking out beyond
+  // opposite faces by 4.25 each: together more than L - range = 6.5, so
+  // their image is two edges away. Sticking out by 1.0 and 0.5 they are
+  // still coded.
+  std::vector<Vec3> opposite = points;
+  opposite.push_back({9.5 + 4.25, 5.0, 5.0});
+  opposite.push_back({-4.25, 5.0, 5.0});
+  std::vector<Vec3> near = points;
+  near.push_back({9.5 + 1.0, 5.0, 5.0});
+  near.push_back({-0.5, 5.0, 5.0});
+  for (const NeighborMode mode : {NeighborMode::Half, NeighborMode::Full}) {
+    NeighborListConfig cfg;
+    cfg.cutoff = cutoff;
+    cfg.skin = 0.0;
+    cfg.mode = mode;
+    NeighborList list(box, cfg);
+    for (const auto* bad : {&far, &opposite}) {
+      list.build(points);
+      ASSERT_GT(list.pair_count(), 0u);
+      EXPECT_THROW(list.build(*bad), PreconditionError);
+      // Empty, so every computer refuses it and a rebuild is due.
+      EXPECT_EQ(list.atom_count(), 0u);
+      EXPECT_EQ(list.pair_count(), 0u);
+      EXPECT_TRUE(list.needs_rebuild(points));
+    }
+    list.build(near);
+    EXPECT_EQ(pairs_from_half_list(list),
+              pair_set(brute_force_pairs(box, near, cutoff)));
+    expect_images_are_minimum_image(list, box, near, "near the faces");
+  }
 }
 
 TEST(NeighborList, BuildAllocatesOnlyOnTheCallingThread) {
