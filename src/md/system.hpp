@@ -24,7 +24,9 @@ class System {
   /// Number density (atoms per cubic angstrom).
   double number_density() const;
 
-  /// Wrap every atom into the primary image, updating image counters.
+  /// Wrap every atom into the primary image, updating image counters:
+  /// bitwise Box::wrap per atom, in parallel, skipping atoms Box::wrap
+  /// would leave as they are.
   void wrap_positions();
 
  private:

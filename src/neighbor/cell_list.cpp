@@ -82,11 +82,11 @@ std::size_t CellList::cell_of_wrapped(const Vec3& w) const {
 void CellList::build(std::span<const Vec3> positions, bool parallel) {
   const std::size_t n = positions.size();
   cell_of_atom_.resize(n);
-  cell_atoms_.resize(n);
+  cell_atoms_.resize(n + kSlotPadding);
   slot_of_atom_.resize(n);
-  slot_x_.resize(n);
-  slot_y_.resize(n);
-  slot_z_.resize(n);
+  slot_x_.resize(n + kSlotPadding);
+  slot_y_.resize(n + kSlotPadding);
+  slot_z_.resize(n + kSlotPadding);
   wrap_code_.resize(n);
   cell_start_.resize(cell_count() + 1);
   // The runs keep integer image codes; the shifts follow the current box.

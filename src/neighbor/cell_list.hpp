@@ -110,7 +110,8 @@ class CellList {
   /// Atoms in a cell, CSR-style.
   std::span<const std::uint32_t> atoms_in(std::size_t cell) const;
 
-  /// Per cell-order slot: the atom id and its wrapped coordinates.
+  /// Per cell-order slot: the atom id and its wrapped coordinates. Each
+  /// array holds kSlotPadding readable entries past its last slot.
   const std::uint32_t* slot_atoms() const { return cell_atoms_.data(); }
   const double* slot_x() const { return slot_x_.data(); }
   const double* slot_y() const { return slot_y_.data(); }
@@ -135,6 +136,10 @@ class CellList {
     return {class_runs_.data() + class_start_[k],
             class_runs_.data() + class_start_[k + 1]};
   }
+
+  /// Entries past the last slot of slot_atoms() / slot_x/y/z(), so the
+  /// list build's vector tail loads stay inside the arrays.
+  static constexpr std::size_t kSlotPadding = 7;
 
   /// Code of the periodic image (sx, sy, sz), each in {-1, 0, 1}.
   static constexpr int image_code(int sx, int sy, int sz) {
@@ -167,7 +172,7 @@ class CellList {
     return image_shift_[code];
   }
 
-  std::size_t atom_count() const { return cell_atoms_.size(); }
+  std::size_t atom_count() const { return slot_of_atom_.size(); }
 
   const Box& box() const { return box_; }
 
@@ -224,8 +229,10 @@ class CellList {
   std::array<int, 3> n_{1, 1, 1};
   Vec3 cell_len_;
   std::vector<std::uint32_t> cell_start_;   // size cells+1
-  std::vector<std::uint32_t> cell_atoms_;   // atom ids grouped by cell
-  std::vector<double> slot_x_;              // wrapped positions, cell order
+  // Atom ids grouped by cell and their wrapped positions, in cell order,
+  // each padded by kSlotPadding entries.
+  std::vector<std::uint32_t> cell_atoms_;
+  std::vector<double> slot_x_;
   std::vector<double> slot_y_;
   std::vector<double> slot_z_;
   std::vector<std::uint32_t> slot_of_atom_;  // atom -> cell-order slot

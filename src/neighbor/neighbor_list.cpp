@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/threads.hpp"
 #include "common/timer.hpp"
+#include "neighbor/detail/candidates.hpp"
 
 namespace sdcmd {
 
@@ -60,8 +61,10 @@ NeighborList::NeighborList(const Box& box, NeighborListConfig config)
 // One row per atom, specialized per mode so the hot loop carries no
 // per-pair mode test. Candidates come from the stencil runs of atom i's
 // cell, each a contiguous range of cell-order slots seen through one
-// periodic image s, tested as dr = (x_i - x_j) - L*s per axis. For a pair
-// within range that is the arithmetic Box::minimum_image does, so rows are
+// periodic image s, tested as dr = (x_i - x_j) - L*s per axis
+// (detail::append_run: eight at a time with AVX-512 where it is compiled,
+// else a branchless scalar loop, bitwise the same). For a pair within
+// range that is the arithmetic Box::minimum_image does, so rows are
 // bitwise those of a minimum-image scan over the same cells. Each
 // candidate's image code is written beside its id.
 //   Half : the half runs. The first one starts at i's own cell, where only
@@ -69,22 +72,18 @@ NeighborList::NeighborList(const Box& box, NeighborListConfig config)
 //          pair is stored under the atom in the lower-index cell;
 //          intra-cell pairs under min(i, j).
 //   Full : the full runs, skipping only i's own slot.
-// The append is branchless: every candidate is written and the cursor
-// advances only past kept ones, so a run fits only when the buffer has
-// room for all its candidates. Appends atom i's row to out[used, cap) and
-// its codes to images[used, cap); false when it does not fit.
+// The scalar append writes every candidate, so a run fits only when the
+// buffer has room for all its candidates. Appends atom i's row to
+// out[used, cap) and its codes to images[used, cap); false when it does
+// not fit.
 template <NeighborMode Mode>
 bool NeighborList::append_row(std::size_t i, double range2,
                               std::uint32_t* out, std::uint8_t* images,
                               std::size_t cap, std::size_t& used) const {
-  const double* xs = cells_.slot_x();
-  const double* ys = cells_.slot_y();
-  const double* zs = cells_.slot_z();
-  const std::uint32_t* ids = cells_.slot_atoms();
+  const detail::CandidateSlots slots{cells_.slot_x(), cells_.slot_y(),
+                                     cells_.slot_z(), cells_.slot_atoms()};
   const std::size_t si = cells_.slot_of(i);
-  const double xi = xs[si];
-  const double yi = ys[si];
-  const double zi = zs[si];
+  const Vec3 xi{slots.x[si], slots.y[si], slots.z[si]};
   const std::uint32_t ci = cells_.binned_cell(i);
   // The runs of ci's boundary class, relative to ci.
   const auto runs = cells_.class_runs(ci, Mode == NeighborMode::Half);
@@ -96,18 +95,9 @@ bool NeighborList::append_row(std::size_t i, double range2,
     const std::size_t end = cells_.cell_begin(first + runs[r].cells);
     if (cap - used < end - begin) return false;
     const auto image = static_cast<std::uint8_t>(runs[r].image);
-    const Vec3& s = cells_.image_shift(image);
-    for (std::size_t k = begin; k < end; ++k) {
-      const Vec3 dr{(xi - xs[k]) - s.x, (yi - ys[k]) - s.y,
-                    (zi - zs[k]) - s.z};
-      out[used] = ids[k];
-      images[used] = image;
-      if constexpr (Mode == NeighborMode::Half) {
-        used += norm2(dr) < range2;
-      } else {
-        used += (norm2(dr) < range2) & (k != si);
-      }
-    }
+    used += detail::append_run<Mode == NeighborMode::Full>(
+        slots, begin, end, si, xi, cells_.image_shift(image), image, range2,
+        out + used, images + used);
   }
   return true;
 }

@@ -7,7 +7,9 @@
 // whichever atom's cell owns the cell pair (intra-cell pairs under
 // min(i, j)); kernels only rely on each pair appearing once. Candidates are
 // read from the cell list's cell-order position copy, one stencil run (a
-// contiguous slot range seen through one periodic image) at a time.
+// contiguous slot range seen through one periodic image) at a time, eight
+// at a time with AVX-512 where the build targets it
+// (neighbor/detail/candidates.hpp).
 // A *full* list stores the pair under both atoms; kernels become pure
 // gathers with no write conflicts at the price of doubled computation - the
 // paper's "Redundant Computations" baseline.

@@ -34,7 +34,10 @@ FinnisSinclairParams FinnisSinclairParams::test_metal() {
 }
 
 FinnisSinclair::FinnisSinclair(FinnisSinclairParams params)
-    : p_(std::move(params)), cutoff_(std::max(p_.c, p_.d)) {
+    : p_(std::move(params)),
+      cutoff_(std::max(p_.c, p_.d)),
+      beta_over_d_(p_.beta / p_.d),
+      three_beta_over_d_(3.0 * p_.beta / p_.d) {
   SDCMD_REQUIRE(p_.c > 0.0 && p_.d > 0.0, "cutoffs must be positive");
   SDCMD_REQUIRE(p_.a > 0.0, "embedding amplitude must be positive");
 }

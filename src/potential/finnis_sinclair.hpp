@@ -73,8 +73,8 @@ class FinnisSinclair final : public EamPotential {
       return;
     }
     const double t = r - p_.d;
-    phi = t * t + p_.beta * t * t * t / p_.d;
-    dphidr = 2.0 * t + 3.0 * p_.beta * t * t / p_.d;
+    phi = t * t + beta_over_d_ * t * t * t;
+    dphidr = 2.0 * t + three_beta_over_d_ * t * t;
   }
 
   [[gnu::always_inline]] void embed(double rho, double& f,
@@ -99,6 +99,9 @@ class FinnisSinclair final : public EamPotential {
  private:
   FinnisSinclairParams p_;
   double cutoff_;
+  // beta / d and 3 beta / d, so a density evaluation divides nowhere.
+  double beta_over_d_;
+  double three_beta_over_d_;
 };
 
 }  // namespace sdcmd

@@ -6,9 +6,11 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
@@ -16,6 +18,7 @@
 #include "common/threads.hpp"
 #include "common/units.hpp"
 #include "geom/lattice.hpp"
+#include "neighbor/detail/candidates.hpp"
 
 #include "allocation_probe.hpp"
 
@@ -815,6 +818,192 @@ TEST(NeighborList, PositionsBeyondTheLimitThrowAndLeaveTheListEmpty) {
               pair_set(brute_force_pairs(box, near, cutoff)));
     expect_images_are_minimum_image(list, box, near, "near the faces");
   }
+}
+
+#ifdef SDCMD_VECTOR_CANDIDATES
+/// `v` as computed, out of reach of FMA contraction.
+double opaque(double v) {
+  asm("" : "+x"(v));
+  return v;
+}
+
+/// One candidate run's slot arrays, allocated to exactly end +
+/// CellList::kSlotPadding entries, as the cell list pads them, so a read
+/// past the padding lands in ASan's redzone.
+struct PaddedRun {
+  std::vector<double> x, y, z;
+  std::vector<std::uint32_t> ids;
+
+  PaddedRun(std::span<const Vec3> positions, std::size_t begin) {
+    const std::size_t size =
+        begin + positions.size() + CellList::kSlotPadding;
+    x.assign(size, 0.0);
+    y.assign(size, 0.0);
+    z.assign(size, 0.0);
+    ids.assign(size, 0);
+    for (std::size_t k = 0; k < positions.size(); ++k) {
+      x[begin + k] = positions[k].x;
+      y[begin + k] = positions[k].y;
+      z[begin + k] = positions[k].z;
+      ids[begin + k] = static_cast<std::uint32_t>(1000 + 7 * k);
+    }
+  }
+
+  detail::CandidateSlots slots() const {
+    return {x.data(), y.data(), z.data(), ids.data()};
+  }
+};
+
+/// Empty when both forms keep the same ids and codes for slots [begin,
+/// end) and the vector form writes nothing past its count.
+template <bool kSkipSelf>
+std::string compare_forms(const PaddedRun& run, std::size_t begin,
+                          std::size_t end, std::size_t self, const Vec3& xi,
+                          const Vec3& s, std::uint8_t image, double range2) {
+  constexpr std::uint32_t kUnset = 0xDEADBEEF;
+  constexpr std::uint8_t kUnsetCode = 0xEE;
+  const std::size_t room = end - begin + 8;
+  std::vector<std::uint32_t> ids_s(room, kUnset), ids_v(room, kUnset);
+  std::vector<std::uint8_t> codes_s(room, kUnsetCode),
+      codes_v(room, kUnsetCode);
+  const std::size_t kept_s = detail::append_run_scalar<kSkipSelf>(
+      run.slots(), begin, end, self, xi, s, image, range2, ids_s.data(),
+      codes_s.data());
+  const std::size_t kept_v = detail::append_run_avx512<kSkipSelf>(
+      run.slots(), begin, end, self, xi, s, image, range2, ids_v.data(),
+      codes_v.data());
+  std::ostringstream why;
+  why << "run [" << begin << ", " << end << "), self " << self
+      << ", skip self " << kSkipSelf << ", range2 " << std::hexfloat
+      << range2 << ": ";
+  if (kept_s != kept_v) {
+    why << "scalar kept " << kept_s << ", vector kept " << kept_v;
+    return why.str();
+  }
+  for (std::size_t k = 0; k < kept_s; ++k) {
+    if (ids_s[k] != ids_v[k] || codes_s[k] != codes_v[k]) {
+      why << "entry " << k << " differs";
+      return why.str();
+    }
+  }
+  for (std::size_t k = kept_v; k < room; ++k) {
+    if (ids_v[k] != kUnset || codes_v[k] != kUnsetCode) {
+      why << "vector form wrote past its count at " << k;
+      return why.str();
+    }
+  }
+  return {};
+}
+
+/// Squared distances of a candidate under the roundings a compiler may
+/// give norm2, and an ulp either side of each: as range2, one of these
+/// separates any two forms that round the candidate differently.
+std::vector<double> boundary_range2s(const Vec3& xi, const Vec3& xj,
+                                     const Vec3& s) {
+  const double dx = (xi.x - xj.x) - s.x;
+  const double dy = (xi.y - xj.y) - s.y;
+  const double dz = (xi.z - xj.z) - s.z;
+  const double xx = opaque(dx * dx);
+  const double yy = opaque(dy * dy);
+  const double zz = opaque(dz * dz);
+  const double shapes[] = {
+      std::fma(dz, dz, std::fma(dx, dx, yy)),
+      opaque(opaque(xx + yy) + zz),
+      std::fma(dz, dz, opaque(xx + yy)),
+      std::fma(dx, dx, std::fma(dy, dy, zz)),
+      std::fma(dy, dy, std::fma(dx, dx, zz)),
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> out;
+  for (double v : shapes) {
+    out.push_back(std::nextafter(v, -kInf));
+    out.push_back(v);
+    out.push_back(std::nextafter(v, kInf));
+  }
+  return out;
+}
+#endif
+
+TEST(NeighborList, VectorCandidateTestMatchesTheScalarLoop) {
+#ifndef SDCMD_VECTOR_CANDIDATES
+  GTEST_SKIP() << "the AVX-512 candidate test is not compiled in this build "
+                  "(it needs AVX-512F and AVX-512VL, e.g. -march=native on "
+                  "such a host); the list build runs the scalar loop alone";
+#else
+  const double a0 = units::kLatticeFe;
+  const double range = 3.569745 + 0.4;  // FS Fe cutoff + the default skin
+  const double edge = 5 * a0;
+  // Lattice runs: bcc sites, whose squared distances repeat exactly.
+  std::vector<Vec3> lattice;
+  for (int ix = 0; ix < 3; ++ix) {
+    for (int iy = 0; iy < 3; ++iy) {
+      for (int iz = 0; iz < 3; ++iz) {
+        lattice.push_back({ix * a0, iy * a0, iz * a0});
+        lattice.push_back({(ix + 0.5) * a0, (iy + 0.5) * a0, (iz + 0.5) * a0});
+      }
+    }
+  }
+  Xoshiro256 rng(4242);
+  std::size_t checks = 0;
+  std::vector<std::string> failures;
+  auto check = [&](std::string why) {
+    ++checks;
+    if (!why.empty() && failures.size() < 5) failures.push_back(why);
+  };
+  for (int kind = 0; kind < 2; ++kind) {
+    for (std::size_t len = 1; len <= 40; ++len) {
+      // Lattice runs take consecutive sites around the middle one; random
+      // runs scatter within two ranges of atom i.
+      std::vector<Vec3> positions(len);
+      const Vec3 centre = lattice[27];
+      for (std::size_t k = 0; k < len; ++k) {
+        positions[k] =
+            kind == 0
+                ? lattice[(27 + k) % lattice.size()]
+                : Vec3{centre.x + rng.uniform(-2 * range, 2 * range),
+                       centre.y + rng.uniform(-2 * range, 2 * range),
+                       centre.z + rng.uniform(-2 * range, 2 * range)};
+      }
+      const std::size_t begin = len % 8;
+      const std::size_t end = begin + len;
+      const PaddedRun run(positions, begin);
+      // Atom i through its own image, and a candidate run seen one edge
+      // away on every axis.
+      const int code = len % 2 == 0 ? 13 : static_cast<int>(rng.below(27));
+      const Vec3 s{edge * (code / 9 - 1), edge * (code / 3 % 3 - 1),
+                   edge * (code % 3 - 1)};
+      const auto image = static_cast<std::uint8_t>(code);
+      const Vec3 xi = code == 13 ? centre : centre + s;
+      // Every candidate on the boundary, under each rounding and an ulp
+      // either side; atom i's own slot outside the run.
+      for (std::size_t k = 0; k < len; ++k) {
+        for (double range2 : boundary_range2s(xi, positions[k], s)) {
+          check(compare_forms<false>(run, begin, end, end, xi, s, image,
+                                     range2));
+          check(compare_forms<true>(run, begin, end, end, xi, s, image,
+                                    range2));
+        }
+      }
+      // A full row's own slot at every lane of the run (and just before
+      // it), atom i sitting on that slot, at the list's range and on the
+      // boundary of a neighbor of the slot.
+      for (std::size_t self = begin == 0 ? begin : begin - 1; self < end;
+           ++self) {
+        const Vec3 own = self < begin ? centre : positions[self - begin];
+        const Vec3 other = positions[(self + 1) % len];
+        std::vector<double> range2s = boundary_range2s(own, other, Vec3{});
+        range2s.push_back(range * range);
+        for (double range2 : range2s) {
+          check(compare_forms<true>(run, begin, end, self, own, Vec3{}, 13,
+                                    range2));
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 10000u);
+  EXPECT_TRUE(failures.empty()) << failures.size() << " or more failures, "
+                                << "first: " << failures.front();
+#endif
 }
 
 TEST(NeighborList, BuildAllocatesOnlyOnTheCallingThread) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+
 #include "common/error.hpp"
+#include "common/random.hpp"
 #include "common/units.hpp"
 
 namespace sdcmd {
@@ -71,6 +77,61 @@ TEST(System, WrapPositionsUpdatesImages) {
   EXPECT_EQ(system.atoms().image[0][0], 1);
   EXPECT_EQ(system.atoms().image[0][1], -1);
   EXPECT_EQ(system.atoms().image[0][2], 0);
+}
+
+TEST(System, ParallelWrapIsBitwiseTheSerialWrap) {
+  // Odd edges and a lower corner off the origin, so (r - lo) / L rounds;
+  // the last box has an open axis, which the wrap leaves alone.
+  const Box boxes[] = {
+      Box({-5.3, 0.0, 2.1}, {7.9, 11.7, 19.45}),
+      Box::cubic(10.0),
+      Box({-4.0, -4.0, -4.0}, {4.1, 4.1, 4.1}, {true, false, true})};
+  for (const Box& box : boxes) {
+    // Enough atoms for the parallel path (the test runs at 4 threads).
+    const std::size_t n = 12000;
+    Xoshiro256 rng(17);
+    std::vector<Vec3> positions(n);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int d = 0; d < 3; ++d) {
+        const double lo = box.lo()[d];
+        const double hi = box.hi()[d];
+        const double len = box.length(d);
+        // Inside; on lo and hi and an ulp either side of each; up to one
+        // edge outside on either side, and just short of it.
+        const double choices[] = {rng.uniform(lo, hi),
+                                  rng.uniform(lo, hi),
+                                  lo,
+                                  hi,
+                                  std::nextafter(hi, -kInf),
+                                  std::nextafter(hi, kInf),
+                                  std::nextafter(lo, -kInf),
+                                  std::nextafter(lo, kInf),
+                                  rng.uniform(lo - len, lo),
+                                  rng.uniform(hi, hi + len),
+                                  std::nextafter(lo - len, kInf),
+                                  std::nextafter(hi + len, -kInf),
+                                  lo == 0.0 ? -0.0 : lo + 0.5 * len};
+        positions[i][d] = choices[rng.below(std::size(choices))];
+      }
+    }
+    Atoms atoms(positions);
+    for (std::size_t i = 0; i < n; ++i) {
+      atoms.image[i] = {static_cast<int>(i % 7) - 3, static_cast<int>(i % 3),
+                        -static_cast<int>(i % 5)};
+    }
+    std::vector<Vec3> want = positions;
+    auto want_image = atoms.image;
+    for (std::size_t i = 0; i < n; ++i) {
+      want[i] = box.wrap(want[i], want_image[i]);
+    }
+    System system(box, std::move(atoms), 1.0);
+    system.wrap_positions();
+    EXPECT_EQ(std::memcmp(system.atoms().position.data(), want.data(),
+                          n * sizeof(Vec3)),
+              0);
+    EXPECT_EQ(system.atoms().image, want_image);
+  }
 }
 
 }  // namespace
