@@ -6,11 +6,7 @@
 // Besides the google-benchmark suite, `--hw-counters` runs the
 // perf_event_open table: per-phase cycles/atom, IPC, cache-miss rate and
 // FP scalar/vector op mix for one EAM workload, same values in the printed
-// table and the sdcmd.bench.v1 report. `--soa on|off|ab` runs the SoA A/B
-// harness: RC's fused EAM step over a padded full list (SIMD gathers) vs
-// an unpadded one (scalar gathers), reporting per-phase seconds/step plus
-// FP vector-vs-scalar op counts so vectorization wins show up in the
-// counters too.
+// table and the sdcmd.bench.v1 report.
 #include <benchmark/benchmark.h>
 #include <omp.h>
 
@@ -255,222 +251,6 @@ BENCHMARK(BM_EamSap);
 BENCHMARK(BM_EamRc);
 BENCHMARK(BM_EamSdc);
 
-// --- SoA fast-path A/B harness ---------------------------------------------
-
-/// One timed configuration of the SoA A/B: per-phase wall clock plus
-/// per-phase hardware counts (when perf_event_open is usable) so the
-/// vectorization win is visible as an FP vector-vs-scalar op shift, not
-/// just wall-clock.
-struct SoaMeasurement {
-  double seconds_per_step = 0.0;
-  double phase_s[3] = {0.0, 0.0, 0.0};  ///< density, embed, force
-  obs::HwCounts hw[3];
-  std::size_t soa_steps = 0;
-  double pad_fraction = 0.0;
-};
-
-/// RC over `list`: the SoA path runs when the list carries padded tiles.
-SoaMeasurement time_soa(const EamPotential& pot, const Box& box,
-                        const std::vector<Vec3>& positions,
-                        const NeighborList& list, int steps, int warmup,
-                        bool enable_hw) {
-  EamForceConfig cfg;
-  cfg.strategy = ReductionStrategy::RedundantComputation;
-  EamForceComputer computer(pot, cfg);
-  if (enable_hw) computer.hw_profiler().set_enabled(true);
-
-  const std::size_t n = positions.size();
-  std::vector<double> rho(n), fp(n);
-  std::vector<Vec3> force(n);
-  for (int s = 0; s < warmup; ++s) {
-    computer.compute(box, positions, list, rho, fp, force);
-  }
-  computer.reset_instrumentation();
-  SoaMeasurement m;
-  const double t0 = wall_time();
-  for (int s = 0; s < steps; ++s) {
-    auto result = computer.compute(box, positions, list, rho, fp, force);
-    benchmark::DoNotOptimize(result.pair_energy);
-    for (const auto& pt : computer.hw_profiler().phase_totals()) {
-      if (pt.phase >= 0 && pt.phase < 3) m.hw[pt.phase].accumulate(pt.counts);
-    }
-  }
-  m.seconds_per_step = (wall_time() - t0) / steps;
-  for (const auto& e : computer.timers().entries()) {
-    const double per_step = e.seconds / steps;
-    if (e.name == "density") m.phase_s[0] = per_step;
-    if (e.name == "embed") m.phase_s[1] = per_step;
-    if (e.name == "force") m.phase_s[2] = per_step;
-  }
-  m.soa_steps = computer.stats().soa_steps;
-  m.pad_fraction = computer.stats().soa_pad_fraction;
-  return m;
-}
-
-int run_soa_ab(int argc, char** argv) {
-  CliParser cli("bench_micro",
-                "SoA fast-path A/B: RC's fused EAM step over a padded full "
-                "list (SIMD gathers) vs an unpadded one (scalar gathers)");
-  cli.add_option("soa", "ab", "on|off|ab (ab runs both)");
-  cli.add_option("cells", "10", "bcc cells per box edge");
-  cli.add_option("steps", "25", "timed force evaluations per config");
-  cli.add_option("warmup", "5", "untimed evaluations before the clock");
-  cli.add_option("metrics-out", "", "write sdcmd.bench.v1 JSON here");
-  if (!cli.parse(argc, argv)) return 1;
-
-  const std::string mode = cli.get("soa");
-  if (mode != "on" && mode != "off" && mode != "ab") {
-    std::fprintf(stderr, "--soa must be on, off or ab (got %s)\n",
-                 mode.c_str());
-    return 1;
-  }
-  const int cells = cli.get_int("cells");
-  const int steps = cli.get_int("steps");
-  const int warmup = cli.get_int("warmup");
-  const ReductionStrategy strategy = ReductionStrategy::RedundantComputation;
-
-  // Tabulated iron: the SoA path requires packed spline tables, so this is
-  // the configuration it actually accelerates in production.
-  FinnisSinclair fe(FinnisSinclairParams::iron());
-  const TabulatedEam tab = TabulatedEam::from_analytic(fe, 2000, 2000, 60.0);
-  Box box = Box::cubic(1.0);
-  const auto positions = jittered_bcc(cells, box);
-
-  // The two arms differ only in the list: padded tiles (the width the
-  // computer asks for, so the bench can't drift from production gating)
-  // vs none. Both enumerate the same pairs in the same order.
-  NeighborListConfig nl_cfg;
-  nl_cfg.cutoff = tab.cutoff();
-  nl_cfg.skin = kSkin;
-  nl_cfg.mode = required_mode(strategy);
-  NeighborList scalar_list(box, nl_cfg);
-  scalar_list.build(positions);
-  EamForceConfig probe_cfg;
-  probe_cfg.strategy = strategy;
-  nl_cfg.pad_width = EamForceComputer(tab, probe_cfg).neighbor_pad_width();
-  NeighborList list(box, nl_cfg);
-  list.build(positions);
-
-  const bool hw_probe = []() {
-    obs::PerfPhaseProfiler p;
-    p.set_enabled(true);
-    return p.enabled();
-  }();
-
-  obs::BenchReport report("micro_soa_ab");
-  report.set_context("cells", cells);
-  report.set_context("atoms", positions.size());
-  report.set_context("pairs", list.pair_count());
-  report.set_context("steps", steps);
-  report.set_context("warmup", warmup);
-  report.set_context("strategy", to_string(strategy));
-  report.set_context("potential", tab.name());
-  report.set_context("hardware_threads", hardware_threads());
-  report.set_context("pad_width", list.pad_width());
-  report.set_context("hw_available", hw_probe ? 1 : 0);
-
-  std::printf(
-      "=== soa A/B: %zu atoms, %zu pairs, %s, %s, %d steps, pad_width %d\n",
-      positions.size(), list.pair_count(), to_string(strategy).c_str(),
-      thread_summary().c_str(), steps, list.pad_width());
-
-  const double per_step_atoms = static_cast<double>(steps) *
-                                static_cast<double>(positions.size());
-  auto print_case = [&](const char* name, const SoaMeasurement& m) {
-    std::printf("  %s: %.6f s/step (density %.6f, embed %.6f, force %.6f)\n",
-                name, m.seconds_per_step, m.phase_s[0], m.phase_s[1],
-                m.phase_s[2]);
-    if (hw_probe) {
-      const obs::HwCounts& f = m.hw[2];
-      std::printf(
-          "      force phase: %.1f cycles/atom, ipc %.3f, fp_scalar/atom "
-          "%.1f, fp_vector/atom %.1f, fp_vec %.1f%%\n",
-          f.cycles / per_step_atoms, f.ipc(), f.fp_scalar / per_step_atoms,
-          f.fp_vector / per_step_atoms, 100.0 * f.fp_vector_frac());
-    }
-  };
-
-  SoaMeasurement off, on;
-  const bool run_off = mode != "on";
-  const bool run_on = mode != "off";
-  if (run_off) {
-    off = time_soa(tab, box, positions, scalar_list, steps, warmup,
-                   hw_probe);
-    print_case("soa_off", off);
-  }
-  if (run_on) {
-    on = time_soa(tab, box, positions, list, steps, warmup, hw_probe);
-    print_case("soa_on ", on);
-    if (on.soa_steps == 0) {
-      std::fprintf(stderr,
-                   "warning: SoA path never engaged (soa_steps=0); the "
-                   "\"on\" column measured the scalar path\n");
-    } else {
-      std::printf("      pad_fraction %.4f (soa engaged on %zu/%d steps)\n",
-                  on.pad_fraction, on.soa_steps, steps);
-    }
-  }
-  const bool have_both = run_off && run_on;
-  if (have_both) {
-    std::printf("  step speedup %.3fx, force-phase speedup %.3fx, "
-                "density-phase speedup %.3fx\n",
-                off.seconds_per_step / on.seconds_per_step,
-                off.phase_s[2] / on.phase_s[2],
-                off.phase_s[0] / on.phase_s[0]);
-  }
-
-  static const char* kPhaseNames[3] = {"density", "embed", "force"};
-  auto add_row = [&](const char* name, const SoaMeasurement& m,
-                     bool baseline) {
-    obs::BenchReport::Row row{
-        {"case", std::string(name)},
-        {"threads", max_threads()},
-        {"seconds_per_step", m.seconds_per_step},
-        {"density_seconds_per_step", m.phase_s[0]},
-        {"embed_seconds_per_step", m.phase_s[1]},
-        {"force_seconds_per_step", m.phase_s[2]},
-        {"soa_steps", m.soa_steps},
-        {"soa_pad_fraction", m.pad_fraction},
-        {"speedup", have_both && !baseline
-                        ? obs::JsonValue(off.seconds_per_step /
-                                         m.seconds_per_step)
-                        : obs::JsonValue(1.0)},
-        {"force_speedup", have_both && !baseline
-                              ? obs::JsonValue(off.phase_s[2] / m.phase_s[2])
-                              : obs::JsonValue(1.0)},
-        {"feasible", true}};
-    for (int p = 0; p < 3; ++p) {
-      const obs::HwCounts& c = m.hw[p];
-      const std::string prefix = std::string("hw.") + kPhaseNames[p];
-      row.emplace_back(prefix + ".cycles_per_atom",
-                       c.cycles / per_step_atoms);
-      row.emplace_back(prefix + ".ipc", c.ipc());
-      row.emplace_back(prefix + ".fp_scalar_per_atom",
-                       c.fp_scalar / per_step_atoms);
-      row.emplace_back(prefix + ".fp_vector_per_atom",
-                       c.fp_vector / per_step_atoms);
-      row.emplace_back(prefix + ".fp_vector_frac", c.fp_vector_frac());
-    }
-    report.add_result(std::move(row));
-  };
-  if (run_off) add_row("soa_off", off, /*baseline=*/true);
-  if (run_on) add_row("soa_on", on, /*baseline=*/!have_both);
-
-  const std::string metrics_out = cli.get("metrics-out");
-  if (!metrics_out.empty()) {
-    if (report.write(metrics_out)) {
-      std::printf("bench report: %zu result rows -> %s\n", report.results(),
-                  metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "cannot open %s\n", metrics_out.c_str());
-      return 1;
-    }
-  }
-  // Exit 0 regardless of the measured speedup: CI boxes are too noisy to
-  // gate on; the acceptance numbers live in EXPERIMENTS.md.
-  return 0;
-}
-
 // --- hardware-counter table mode ------------------------------------------
 
 /// One full EAM workload profiled per-phase with perf_event_open: prints a
@@ -488,8 +268,6 @@ int run_hw_counters(int argc, char** argv) {
   cli.add_option("warmup", "5", "untimed evaluations before the clock");
   cli.add_option("strategy", "sdc",
                  "serial|critical|atomic|locks|sap|rc|sdc|celltask");
-  cli.add_option("soa", "on", "on|off: under rc, give the list padded "
-                              "tiles (SIMD gathers) or none (scalar)");
   cli.add_option("metrics-out", "", "write sdcmd.bench.v1 JSON here");
   if (!cli.parse(argc, argv)) return 1;
 
@@ -497,14 +275,6 @@ int run_hw_counters(int argc, char** argv) {
   const int steps = cli.get_int("steps");
   const int warmup = cli.get_int("warmup");
   const ReductionStrategy strategy = parse_strategy(cli.get("strategy"));
-  const std::string soa_mode = cli.get("soa");
-  if (soa_mode != "on" && soa_mode != "off") {
-    std::fprintf(stderr, "--soa must be on or off here (got %s); use "
-                 "\"--soa ab\" without --hw-counters for the A/B harness\n",
-                 soa_mode.c_str());
-    return 1;
-  }
-  const bool use_soa = soa_mode == "on";
 
   FinnisSinclair fe(FinnisSinclairParams::iron());
   const TabulatedEam tab = TabulatedEam::from_analytic(fe, 2000, 2000, 60.0);
@@ -519,7 +289,6 @@ int run_hw_counters(int argc, char** argv) {
   nl_cfg.cutoff = tab.cutoff();
   nl_cfg.skin = kSkin;
   nl_cfg.mode = required_mode(strategy);
-  nl_cfg.pad_width = use_soa ? computer.neighbor_pad_width() : 0;
   NeighborList list(box, nl_cfg);
   list.build(positions);
   computer.attach_schedule(box, tab.cutoff() + kSkin);
@@ -549,10 +318,9 @@ int run_hw_counters(int argc, char** argv) {
     if (e.name == "force") phase_seconds[2] = e.seconds / steps;
   }
 
-  std::printf(
-      "=== hw counters: %zu atoms, %zu pairs, %s, %s, %d steps, soa %s\n",
-      n, list.pair_count(), to_string(strategy).c_str(),
-      thread_summary().c_str(), steps, use_soa ? "on" : "off");
+  std::printf("=== hw counters: %zu atoms, %zu pairs, %s, %s, %d steps\n", n,
+              list.pair_count(), to_string(strategy).c_str(),
+              thread_summary().c_str(), steps);
   if (!hw_available) {
     std::printf("  perf_event_open unavailable (paranoid=%d); "
                 "hw.available=0, timings only\n",
@@ -568,7 +336,6 @@ int run_hw_counters(int argc, char** argv) {
   report.set_context("strategy", to_string(strategy));
   report.set_context("threads", max_threads());
   report.set_context("hardware_threads", hardware_threads());
-  report.set_context("soa", soa_mode);
   report.set_context("hw_available", hw_available ? 1 : 0);
   report.set_context("hw_paranoid_level",
                      obs::PerfPhaseProfiler::paranoid_level());
@@ -620,18 +387,13 @@ int run_hw_counters(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--hw-counters` routes to the counter table, `--soa ...` to the SoA
-  // A/B; anything else goes to google-benchmark as before. --hw-counters
-  // wins over --soa because the counter table takes `--soa on|off` as a
-  // sub-option.
-  bool has_hw = false, has_soa = false;
+  // `--hw-counters` routes to the counter table; anything else goes to
+  // google-benchmark.
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--hw-counters") has_hw = true;
-    if (arg.rfind("--soa", 0) == 0) has_soa = true;
+    if (std::string_view(argv[i]) == "--hw-counters") {
+      return run_hw_counters(argc, argv);
+    }
   }
-  if (has_hw) return run_hw_counters(argc, argv);
-  if (has_soa) return run_soa_ab(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -232,7 +232,7 @@ def main() -> None:
         "--require-cases",
         default="",
         help="comma list of case names that must appear among the rows "
-        "(e.g. soa_on,soa_off)",
+        "(e.g. density,embed,force)",
     )
     parser.add_argument("--jsonl", help="sdcmd.step_metrics.v1 JSONL file")
     parser.add_argument(

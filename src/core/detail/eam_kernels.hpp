@@ -15,13 +15,9 @@
 //    marks pairs beyond the cutoff) - rebuilding the displacement with
 //    the expression the density row evaluated, so it is bitwise the same.
 //    Half-list strategies run cached; the uncached rows are the serial
-//    reference (compute_serial_reference) and RC's scalar gather, whose
-//    two visits of a pair sit at different slots.
-//  * RcSoaDensityRow / RcSoaForceRow - RC's gather rows in SIMD form
-//    (eam_soa.hpp), used when the full list carries padded tiles and the
-//    potential packed spline tables. They keep their own SIMD minimum
-//    image.
-//  * EmbedRow / SoaEmbedBlock - phase 2, per atom, no scatter.
+//    reference (compute_serial_reference) and RC's gather, whose two
+//    visits of a pair sit at different slots.
+//  * EmbedRow - phase 2, per atom, no scatter.
 //
 // Force rows accumulate the pair energy and virial of every pair they
 // visit; on a full list the caller halves the totals.
@@ -40,7 +36,6 @@
 #include <span>
 
 #include "common/vec3.hpp"
-#include "core/detail/eam_soa.hpp"
 #include "neighbor/neighbor_list.hpp"
 #include "potential/potential.hpp"
 
@@ -143,16 +138,6 @@ struct EamDensityRow {
   }
 };
 
-struct RcSoaDensityRow {
-  const SoaView& v;
-  double cutoff2;
-
-  template <class S>
-  void operator()(std::size_t i, S s) const {
-    s.add(i, soa_rc_density_atom(v, cutoff2, i));
-  }
-};
-
 // --- phase 2: embedding -----------------------------------------------------
 
 template <class Pot>
@@ -168,21 +153,6 @@ struct EmbedRow {
     as_returned(f, dfdrho);
     fp[i] = dfdrho;
     energy += f;
-  }
-};
-
-/// Embedding over block b of kSoaChunk atoms through the packed spline.
-struct SoaEmbedBlock {
-  const PackedSplineView& spline;
-  std::size_t n;
-  const double* rho;
-  double* fp;
-  double energy = 0.0;
-
-  void operator()(std::size_t b) {
-    const std::size_t begin = b * kSoaChunk;
-    energy += soa_embed_range(spline, rho, fp, begin,
-                              std::min(n, begin + kSoaChunk));
   }
 };
 
@@ -249,23 +219,6 @@ struct EamForceRow {
     s.add(i, f_i);
     energy = e;
     virial = w;
-  }
-};
-
-struct RcSoaForceRow {
-  const SoaView& v;
-  double cutoff2;
-  const double* fp;
-  double energy = 0.0;
-  double virial = 0.0;
-
-  template <class S>
-  void operator()(std::size_t i, S s) {
-    SoaForceOut o;
-    soa_rc_force_atom(v, cutoff2, fp, fp[i], i, o);
-    s.add(i, Vec3{o.fx, o.fy, o.fz});
-    energy += o.energy;
-    virial += o.virial;
   }
 };
 

@@ -43,27 +43,6 @@ struct EamForceComputer::PairCache {
   }
 };
 
-/// Owned storage behind detail::SoaView: the persistent x/y/z mirror of the
-/// positions, refreshed inside the fused region every step. Slot n backs
-/// the pad sentinel: lanes gather it before their mask applies, so it
-/// holds a finite value and masked arithmetic stays exception-free.
-struct EamForceComputer::SoaWorkspace {
-  std::vector<double> x, y, z;
-
-  void resize(std::size_t n) {
-    x.resize(n + 1);
-    y.resize(n + 1);
-    z.resize(n + 1);
-    x[n] = 0.0;
-    y[n] = 0.0;
-    z[n] = 0.0;
-  }
-
-  std::size_t bytes() const {
-    return (x.capacity() + y.capacity() + z.capacity()) * sizeof(double);
-  }
-};
-
 EamForceComputer::EamForceComputer(const EamPotential& potential,
                                    EamForceConfig config)
     : potential_(potential),
@@ -99,11 +78,6 @@ const CellTaskSchedule* EamForceComputer::task_schedule() const {
   return engine_->task_schedule();
 }
 
-const EamSplineTables* EamForceComputer::packed_tables() const {
-  const EamSplineTables* tables = potential_.spline_tables();
-  return tables != nullptr && tables->packed_valid() ? tables : nullptr;
-}
-
 EamForceResult EamForceComputer::compute(const Box& box,
                                          std::span<const Vec3> positions,
                                          const NeighborList& list,
@@ -132,30 +106,7 @@ EamForceResult EamForceComputer::compute(const Box& box,
   detail::EamArgs args{positions, list, cutoff * cutoff, {}};
   // Full lists gather (RC); half lists scatter through the pair cache.
   const bool gather = list.mode() == NeighborMode::Full;
-  // SIMD gathers need padded tiles and packed spline tables.
-  const EamSplineTables* tables = packed_tables();
-  const bool soa_on = gather && list.has_padded_tiles() && tables != nullptr;
-  detail::SoaView sv;
-  if (soa_on) {
-    if (soa_ == nullptr) soa_ = std::make_unique<SoaWorkspace>();
-    soa_->resize(n);
-    sv.x = soa_->x.data();
-    sv.y = soa_->y.data();
-    sv.z = soa_->z.data();
-    sv.tile_index = list.tile_index().data();
-    sv.tiles = list.padded_list().data();
-    sv.sent = list.pad_sentinel();
-    const Vec3 len = box.lengths();
-    sv.lx = box.periodic(0) ? len.x : 0.0;
-    sv.ly = box.periodic(1) ? len.y : 0.0;
-    sv.lz = box.periodic(2) ? len.z : 0.0;
-    sv.ilx = box.periodic(0) ? 1.0 / len.x : 0.0;
-    sv.ily = box.periodic(1) ? 1.0 / len.y : 0.0;
-    sv.ilz = box.periodic(2) ? 1.0 / len.z : 0.0;
-    sv.density = tables->density_packed;
-    sv.pair = tables->pair_packed;
-    sv.embed = tables->embed_packed;
-  } else if (!gather) {
+  if (!gather) {
     cache_->resize(list.pair_count());
     args.cache = cache_->refs();
   }
@@ -205,7 +156,7 @@ EamForceResult EamForceComputer::compute(const Box& box,
   int team = 1;
   double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
   // `run_phase` is the engine's strategy dispatch for half-list rows, or
-  // its gather shape for rows that only exist on full lists.
+  // its gather shape for RC's full-list rows.
   auto fused = [&](auto density_row, auto embed_row, auto force_row,
                    auto run_phase) {
 #pragma omp parallel num_threads(team_request)
@@ -221,27 +172,19 @@ EamForceResult EamForceComputer::compute(const Box& box,
       }
       // First-touch zeroing with the same static split as the atom sweeps,
       // so each page lands on the NUMA node of the thread that will
-      // process it; the SoA position mirror refreshes in the same pass.
+      // process it.
       detail::sweep(n, nullptr, 0, [&](std::size_t i) {
         rho[i] = 0.0;
         fp[i] = 0.0;
         force[i] = Vec3{};
-        if (soa_on) {
-          soa_->x[i] = positions[i].x;
-          soa_->y[i] = positions[i].y;
-          soa_->z[i] = positions[i].z;
-        }
       });
       auto density = density_row;
       run_phase(detail::kProfPhaseDensity, rho.data(), density);
       if (hw) hw_profiler_.thread_mark(0, tid);
 #pragma omp master
       t1 = wall_time();
-      // The SoA embed row takes a block of kSoaChunk atoms per call.
       auto embed = embed_row;
-      detail::sweep(soa_on ? (n + detail::kSoaChunk - 1) / detail::kSoaChunk
-                           : n,
-                    prof, detail::kProfPhaseEmbed, embed);
+      detail::sweep(n, prof, detail::kProfPhaseEmbed, embed);
       embed_parts_[static_cast<std::size_t>(tid)] = embed.energy;
       if (hw) hw_profiler_.thread_mark(1, tid);
 #pragma omp master
@@ -261,27 +204,21 @@ EamForceResult EamForceComputer::compute(const Box& box,
   auto run_gather = [this](int phase, auto* out, auto& row) {
     engine_->gather(phase, out, row);
   };
-  if (soa_on) {
-    fused(detail::RcSoaDensityRow{sv, args.cutoff2},
-          detail::SoaEmbedBlock{sv.embed, n, rho.data(), fp.data()},
-          detail::RcSoaForceRow{sv, args.cutoff2, fp.data()}, run_gather);
-  } else {
-    // The scalar rows are compiled once per potential type visit_eam can
-    // pick, so FinnisSinclair and TabulatedEam evaluate inline.
-    visit_eam(potential_, [&](const auto& pot) {
-      using Pot = std::decay_t<decltype(pot)>;
-      const detail::EmbedRow<Pot> embed{pot, rho.data(), fp.data()};
-      if (gather) {
-        fused(detail::EamDensityRow<false, Pot>{args, pot}, embed,
-              detail::EamForceRow<false, Pot>{args, pot, fp.data()},
-              run_gather);
-      } else {
-        fused(detail::EamDensityRow<true, Pot>{args, pot}, embed,
-              detail::EamForceRow<true, Pot>{args, pot, fp.data()},
-              run_scatter);
-      }
-    });
-  }
+  // The rows are compiled once per potential type visit_eam can pick, so
+  // FinnisSinclair and TabulatedEam evaluate inline.
+  visit_eam(potential_, [&](const auto& pot) {
+    using Pot = std::decay_t<decltype(pot)>;
+    const detail::EmbedRow<Pot> embed{pot, rho.data(), fp.data()};
+    if (gather) {
+      fused(detail::EamDensityRow<false, Pot>{args, pot}, embed,
+            detail::EamForceRow<false, Pot>{args, pot, fp.data()},
+            run_gather);
+    } else {
+      fused(detail::EamDensityRow<true, Pot>{args, pot}, embed,
+            detail::EamForceRow<true, Pot>{args, pot, fp.data()},
+            run_scatter);
+    }
+  });
   timers_.slot(t_density_).add_lap(t1 - t0);  // includes the zeroing sweep
   timers_.slot(t_embed_).add_lap(t2 - t1);
   timers_.slot(t_force_).add_lap(t3 - t2);
@@ -331,28 +268,13 @@ EamForceResult EamForceComputer::compute(const Box& box,
   }
   stats_.private_array_bytes =
       std::max(stats_.private_array_bytes, engine_->replica_bytes());
-  if (soa_on) {
-    ++stats_.soa_steps;
-    stats_.soa_pad_fraction = list.pad_fraction();
+  if (!gather) {
+    stats_.cache_store_slots += list.pair_count();
+    stats_.cache_read_slots += list.pair_count();
     stats_.pair_cache_bytes =
-        std::max(stats_.pair_cache_bytes, soa_->bytes());
-  } else {
-    stats_.soa_pad_fraction = 0.0;
-    if (!gather) {
-      stats_.cache_store_slots += list.pair_count();
-      stats_.cache_read_slots += list.pair_count();
-      stats_.pair_cache_bytes =
-          std::max(stats_.pair_cache_bytes, cache_->bytes());
-    }
+        std::max(stats_.pair_cache_bytes, cache_->bytes());
   }
   return result;
-}
-
-int EamForceComputer::neighbor_pad_width() const {
-  return packed_tables() != nullptr &&
-                 required_mode(config_.strategy) == NeighborMode::Full
-             ? detail::kSoaPadWidth
-             : 0;
 }
 
 EamForceResult EamForceComputer::compute_serial_reference(

@@ -50,10 +50,6 @@ struct EamKernelStats {
   std::size_t cache_store_slots = 0;    ///< pair-cache slots written (phase 1)
   std::size_t cache_read_slots = 0;     ///< pair-cache slots read (phase 3)
   std::size_t pair_cache_bytes = 0;     ///< high-water pair-cache footprint
-  std::size_t soa_steps = 0;            ///< compute() calls on the SoA path
-  /// Tile-padding overhead of the SoA path at the last compute():
-  /// padded slots / real pairs - 1 (0 when the path is inactive).
-  double soa_pad_fraction = 0.0;
   // CellTask work-stealing accounting (0 unless the strategy is CellTask).
   std::size_t task_spawned = 0;         ///< block tasks run (both phases)
   std::size_t task_steals = 0;          ///< of those, claimed from a foreign queue
@@ -119,14 +115,6 @@ class EamForceComputer {
   const EamForceConfig& config() const { return config_; }
   const EamPotential& potential() const { return potential_; }
 
-  /// Tile pad width the neighbor list must be built with for compute() to
-  /// take the SoA fast path: the SIMD vector width under RC with a
-  /// potential that has packed spline tables, else 0. compute() takes the
-  /// SoA path exactly when the full list it is given carries padded tiles
-  /// and the tables are there. Stable across governor hot-swaps (the
-  /// ladder never crosses the RC mode boundary).
-  int neighbor_pad_width() const;
-
   /// Wall time per phase ("density", "embed", "force"), cumulative.
   PhaseTimers& timers() { return timers_; }
   const EamKernelStats& stats() const { return stats_; }
@@ -170,16 +158,11 @@ class EamForceComputer {
 
  private:
   struct PairCache;
-  struct SoaWorkspace;
-
-  /// The potential's packed spline tables, or null when it has none.
-  const EamSplineTables* packed_tables() const;
 
   const EamPotential& potential_;
   EamForceConfig config_;
   std::unique_ptr<detail::ReductionEngine> engine_;
   std::unique_ptr<PairCache> cache_;
-  std::unique_ptr<SoaWorkspace> soa_;  ///< allocated on first SoA compute()
   // Per-thread partial sums for the fused parallel pipeline (indexed by
   // omp thread id; summed in thread order for deterministic totals).
   std::vector<double> embed_parts_;

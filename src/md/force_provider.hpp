@@ -40,8 +40,9 @@ class ForceProvider {
   /// Cumulative per-phase wall time.
   virtual PhaseTimers& timers() = 0;
 
-  /// Vector pad width this backend wants neighbor tiles emitted at
-  /// (NeighborListConfig::pad_width); 0 when it walks plain CSR lists.
+  /// Always 0; nothing in the library reads it. It stays virtual because
+  /// perfbench's TracingForceProvider overrides it and its tests check the
+  /// forwarding.
   virtual int neighbor_pad_width() const { return 0; }
 
   /// The underlying EAM computer when this provider wraps one (the
@@ -82,9 +83,6 @@ class EamForceProvider final : public ForceProvider {
   EamForceResult compute(const Box& box, Atoms& atoms,
                          const NeighborList& list) override;
   PhaseTimers& timers() override { return computer_.timers(); }
-  int neighbor_pad_width() const override {
-    return computer_.neighbor_pad_width();
-  }
   EamForceComputer* eam_computer() override { return &computer_; }
   std::optional<ReductionStrategy> strategy() const override {
     return computer_.config().strategy;

@@ -73,10 +73,6 @@ void Simulation::rebuild_geometry() {
   nl.cutoff = provider_->cutoff();
   nl.skin = skin_;
   nl.mode = provider_->required_mode();
-  // SIMD backends (the EAM SoA fast path) ask for vector-width-padded
-  // neighbor tiles; 0 skips the extra arrays. Part of config_compatible,
-  // so toggling the fast path reconstructs the list.
-  nl.pad_width = provider_->neighbor_pad_width();
   bool reuse_list = false;
   if (list_ != nullptr && list_->config_compatible(nl)) {
     // Same list configuration, new box: adapt in place. Storage is reused
@@ -366,8 +362,6 @@ void Simulation::set_instrumentation(InstrumentationConfig config) {
     obs_handles_.pair_cache_bytes = r.gauge("eam.pair_cache_bytes");
     obs_handles_.cache_stores = r.counter("eam.cache_store_slots");
     obs_handles_.cache_reads = r.counter("eam.cache_read_slots");
-    obs_handles_.soa_active = r.gauge("eam.soa_active");
-    obs_handles_.soa_pad_fraction = r.gauge("eam.soa_pad_fraction");
     obs_handles_.task_spawned = r.counter("task.spawned");
     obs_handles_.task_steals = r.counter("task.steals");
     obs_handles_.task_queue_depth = r.gauge("task.max_queue_depth");
@@ -415,7 +409,6 @@ void Simulation::set_instrumentation(InstrumentationConfig config) {
     if (const EamForceComputer* computer = provider_->eam_computer()) {
       obs_handles_.prev_cache_stores = computer->stats().cache_store_slots;
       obs_handles_.prev_cache_reads = computer->stats().cache_read_slots;
-      obs_handles_.prev_soa_steps = computer->stats().soa_steps;
       obs_handles_.prev_task_spawned = computer->stats().task_spawned;
       obs_handles_.prev_task_steals = computer->stats().task_steals;
     }
@@ -674,13 +667,6 @@ void Simulation::run(long steps, const Callback& callback,
                                                obs_handles_.prev_cache_reads));
         obs_handles_.prev_cache_stores = ks.cache_store_slots;
         obs_handles_.prev_cache_reads = ks.cache_read_slots;
-        // 1 when the step's compute() took the SIMD SoA fast path.
-        obs_.registry->set(
-            obs_handles_.soa_active,
-            ks.soa_steps != obs_handles_.prev_soa_steps ? 1.0 : 0.0);
-        obs_.registry->set(obs_handles_.soa_pad_fraction,
-                           ks.soa_pad_fraction);
-        obs_handles_.prev_soa_steps = ks.soa_steps;
         // CellTask work-stealing family: flat zeros unless the active
         // strategy is CellTask (the kernels never touch these otherwise).
         obs_.registry->add(obs_handles_.task_spawned,

@@ -337,8 +337,6 @@ class Simulation {
     std::size_t pair_cache_bytes = 0;
     std::size_t cache_stores = 0;
     std::size_t cache_reads = 0;
-    std::size_t soa_active = 0;
-    std::size_t soa_pad_fraction = 0;
     // CellTask work-stealing family (task.*): spawn/steal counters plus
     // queue-depth and busy-fraction gauges; all 0 / flat unless the active
     // strategy is CellTask.
@@ -376,7 +374,6 @@ class Simulation {
     // so each step adds only its delta to the registry counters.
     std::size_t prev_cache_stores = 0;
     std::size_t prev_cache_reads = 0;
-    std::size_t prev_soa_steps = 0;
     std::size_t prev_task_spawned = 0;
     std::size_t prev_task_steals = 0;
     // Same delta bookkeeping for the cumulative neighbor-pipeline stats

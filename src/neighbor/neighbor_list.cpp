@@ -55,7 +55,6 @@ NeighborList::NeighborList(const Box& box, NeighborListConfig config)
       built_box_(box) {
   SDCMD_REQUIRE(config.cutoff > 0.0, "cutoff must be positive");
   SDCMD_REQUIRE(config.skin >= 0.0, "skin must be non-negative");
-  SDCMD_REQUIRE(config.pad_width >= 0, "pad width must be non-negative");
 }
 
 // One row per atom, specialized per mode so the hot loop carries no
@@ -181,25 +180,14 @@ bool NeighborList::enumerate_and_compact(double range2,
         }
         // Reserve with slack so steady-state rebuilds (pair counts drift
         // by a few percent as atoms cross the skin) stay
-        // reallocation-free. With padded tiles enabled the worst case per
-        // atom is pad_width - 1 extra slots; fold that into the slack
-        // bound so the FIRST padded build (and every rebuild after it)
-        // sizes both arrays once.
+        // reallocation-free.
         const std::size_t needed = neigh_index_[n];
-        const std::size_t pad_slack =
-            config_.pad_width > 1
-                ? n * static_cast<std::size_t>(config_.pad_width - 1)
-                : 0;
         if (neigh_list_.capacity() < needed) {
           neigh_list_.reserve(needed + needed / 8);
           neigh_image_.reserve(needed + needed / 8);
         }
         neigh_list_.resize(needed);
         neigh_image_.resize(needed);
-        if (config_.pad_width > 1 &&
-            padded_list_.capacity() < needed + pad_slack) {
-          padded_list_.reserve(needed + needed / 8 + pad_slack);
-        }
       }
     }
 #pragma omp barrier
@@ -268,7 +256,6 @@ void NeighborList::build(std::span<const Vec3> positions) {
         "the box that their image has no code; wrap positions before "
         "building");
   }
-  if (config_.pad_width > 1) build_padded_tiles();
 
   positions_at_build_.assign(positions.begin(), positions.end());
   built_box_ = box_;
@@ -308,39 +295,7 @@ void NeighborList::clear_rows() {
   neigh_index_.assign(1, 0);
   neigh_list_.clear();
   neigh_image_.clear();
-  tile_index_.clear();
-  padded_list_.clear();
   positions_at_build_.clear();
-}
-
-void NeighborList::build_padded_tiles() {
-  // Each atom's padded block is its CSR sublist rounded up to a multiple
-  // of pad_width, tail slots filled with the sentinel index atom_count().
-  // SIMD loops walk whole blocks with no length test; sentinel lanes are
-  // masked by an index compare, never by control flow.
-  const std::size_t n = neigh_len_.size();
-  const auto w = static_cast<std::size_t>(config_.pad_width);
-  const std::uint32_t sentinel = pad_sentinel();
-  tile_index_.resize(n + 1);
-  tile_index_[0] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t padded = (neigh_len_[i] + w - 1) / w * w;
-    tile_index_[i + 1] = tile_index_[i] + padded;
-  }
-  padded_list_.resize(tile_index_[n]);
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t src = neigh_index_[i];
-    const std::size_t dst = tile_index_[i];
-    const std::size_t len = neigh_len_[i];
-    for (std::size_t k = 0; k < len; ++k) {
-      padded_list_[dst + k] = neigh_list_[src + k];
-    }
-    const std::size_t end = tile_index_[i + 1] - dst;
-    for (std::size_t k = len; k < end; ++k) {
-      padded_list_[dst + k] = sentinel;
-    }
-  }
 }
 
 bool NeighborList::update_box(const Box& box) {
@@ -354,8 +309,7 @@ bool NeighborList::update_box(const Box& box) {
 bool NeighborList::config_compatible(const NeighborListConfig& other) const {
   return other.cutoff == config_.cutoff && other.skin == config_.skin &&
          other.mode == config_.mode &&
-         other.sort_neighbors == config_.sort_neighbors &&
-         other.pad_width == config_.pad_width;
+         other.sort_neighbors == config_.sort_neighbors;
 }
 
 bool NeighborList::needs_rebuild(std::span<const Vec3> positions) const {
@@ -402,8 +356,6 @@ std::size_t NeighborList::memory_bytes() const {
          neigh_len_.size() * sizeof(std::uint32_t) +
          neigh_list_.size() * sizeof(std::uint32_t) +
          neigh_image_.size() * sizeof(std::uint8_t) +
-         tile_index_.size() * sizeof(std::size_t) +
-         padded_list_.size() * sizeof(std::uint32_t) +
          positions_at_build_.size() * sizeof(Vec3) + scratch_bytes() +
          cells_.memory_bytes();
 }

@@ -68,12 +68,6 @@ struct NeighborListConfig {
   bool sort_neighbors = false;  ///< ascending j within each sublist
                                 ///< (the paper's Section II.D reordering);
                                 ///< image codes move with their ids
-  /// > 1: every build() also emits vector-width-padded neighbor tiles
-  /// (tile_index()/padded_list()): each atom's sublist rounded up to a
-  /// multiple of pad_width, out-of-range slots filled with the sentinel
-  /// atom_count(). The SoA EAM fast path walks these branch-free blocks;
-  /// 0 (the default) skips the extra arrays.
-  int pad_width = 0;
 };
 
 /// Build-pipeline accounting: phase wall times (cumulative and for the
@@ -88,8 +82,8 @@ struct NeighborBuildStats {
   double count_seconds = 0.0;  ///< enumeration pass with the image codes,
                                ///< rows sorted when asked (cumulative)
   double fill_seconds = 0.0;   ///< compaction into the CSR arrays, wrap
-                               ///< folding, padded tiles and staleness
-                               ///< snapshot (cumulative)
+                               ///< folding and staleness snapshot
+                               ///< (cumulative)
   double last_bin_seconds = 0.0;
   double last_count_seconds = 0.0;
   double last_fill_seconds = 0.0;
@@ -161,30 +155,6 @@ class NeighborList {
     return stats_.builds > 0 && box == built_box_;
   }
 
-  // Vector-width-padded neighbor tiles (built when config.pad_width > 1).
-  // tile_index()[i] is the start of atom i's padded block in padded_list()
-  // (always a multiple of pad_width); slots past the atom's real sublist
-  // hold pad_sentinel(). The real entries replicate neighbors(i) in order.
-  bool has_padded_tiles() const { return config_.pad_width > 1; }
-  int pad_width() const { return config_.pad_width; }
-  std::size_t padded_pair_count() const { return padded_list_.size(); }
-  std::uint32_t pad_sentinel() const {
-    return static_cast<std::uint32_t>(neigh_len_.size());
-  }
-  const std::vector<std::size_t>& tile_index() const { return tile_index_; }
-  const std::vector<std::uint32_t>& padded_list() const {
-    return padded_list_;
-  }
-  /// Padding overhead of the last build: padded slots / real pairs - 1
-  /// (0 when padding is off or the list is empty).
-  double pad_fraction() const {
-    return neigh_list_.empty() || padded_list_.empty()
-               ? 0.0
-               : static_cast<double>(padded_list_.size()) /
-                         static_cast<double>(neigh_list_.size()) -
-                     1.0;
-  }
-
   NeighborMode mode() const { return config_.mode; }
   double cutoff() const { return config_.cutoff; }
   double skin() const { return config_.skin; }
@@ -246,8 +216,6 @@ class NeighborList {
   /// Leave the list empty after a build that could not code its images.
   void clear_rows();
 
-  void build_padded_tiles();
-
   Box box_;
   NeighborListConfig config_;
   CellList cells_;
@@ -255,8 +223,6 @@ class NeighborList {
   std::vector<std::uint32_t> neigh_len_;
   std::vector<std::uint32_t> neigh_list_;
   std::vector<std::uint8_t> neigh_image_;
-  std::vector<std::size_t> tile_index_;     ///< pad_width > 1 only
-  std::vector<std::uint32_t> padded_list_;  ///< pad_width > 1 only
   std::vector<Vec3> positions_at_build_;
   Box built_box_;  ///< box_ as of the last build()
   // Build scratch, one buffer per thread slot. Only the calling thread

@@ -1,15 +1,14 @@
 // Hardware-counter profiling via perf_event_open, phase-scoped and
 // per-thread, with graceful degradation to a zero-cost no-op.
 //
-// The wall clock can say a phase got slower; it cannot say *why*. The two
-// machine-level numbers that decide ROADMAP items 1 (SIMD SoA fast path)
-// and 2 (task-graph scheduling) are instructions-per-cycle (are the kernels
-// compute-bound or stalled?) and cache-miss rate (is the CSR walk thrashing
-// or streaming?). This layer counts cycles, instructions, cache
-// references/misses and branch misses per OpenMP thread between the phase
-// barriers the fused EAM pipeline already has, plus -- behind an open-probe,
-// Intel only -- retired scalar/vector FP operations so vector-lane
-// utilization is measurable before and after a SIMD rewrite.
+// The wall clock can say a phase got slower; it cannot say *why*. Two
+// machine-level numbers answer most of that: instructions-per-cycle (are
+// the kernels compute-bound or stalled?) and cache-miss rate (is the CSR
+// walk thrashing or streaming?). This layer counts cycles, instructions,
+// cache references/misses and branch misses per OpenMP thread between the
+// phase barriers the fused EAM pipeline already has, plus -- behind an
+// open-probe, Intel only -- retired scalar/vector FP operations, so
+// whether a row issues packed arithmetic is measured, not assumed.
 //
 // Availability is a spectrum, not a boolean: `perf_event_paranoid` may
 // forbid the syscall (common in CI containers), the kernel may lack the

@@ -70,13 +70,6 @@ void CubicSpline::build(const std::vector<double>& y, bool clamped,
     c_[i] = m[i] / 2.0;
     d_[i] = (m[i + 1] - m[i]) / (6.0 * dx_);
   }
-  packed_.resize(4 * segs);
-  for (std::size_t i = 0; i < segs; ++i) {
-    packed_[4 * i + 0] = a_[i];
-    packed_[4 * i + 1] = b_[i];
-    packed_[4 * i + 2] = c_[i];
-    packed_[4 * i + 3] = d_[i];
-  }
 }
 
 double CubicSpline::value(double x) const {

@@ -11,39 +11,6 @@
 
 namespace sdcmd {
 
-/// Interval-indexed coefficient layout for vector lanes: one segment's four
-/// cubic coefficients sit contiguously at coef[4*i .. 4*i+3], so a SIMD
-/// lane's evaluation is an index computation plus one contiguous 32-byte
-/// load (or a 4-element gather) instead of four gathers from four arrays.
-/// The arithmetic mirrors CubicSpline::evaluate operation-for-operation, so
-/// the two layouts agree to the last bit modulo compiler FP contraction.
-struct PackedSplineView {
-  const double* coef = nullptr;  ///< [a_i, b_i, c_i, d_i] per segment
-  double x0 = 0.0;
-  double dx = 1.0;
-  std::size_t segments = 0;
-
-  bool valid() const { return coef != nullptr && segments > 0; }
-
-  /// Segment index for x, clamped to the table (branch-free min/max).
-  std::size_t segment(double x) const {
-    const double rel = (x - x0) / dx;
-    auto idx = static_cast<long>(std::floor(rel));
-    idx = idx < 0 ? 0 : idx;
-    const long last = static_cast<long>(segments) - 1;
-    idx = idx > last ? last : idx;
-    return static_cast<std::size_t>(idx);
-  }
-
-  void evaluate(double x, double& value, double& derivative) const {
-    const std::size_t i = segment(x);
-    const double t = x - (x0 + dx * static_cast<double>(i));
-    const double* c = coef + 4 * i;
-    value = c[0] + t * (c[1] + t * (c[2] + t * c[3]));
-    derivative = c[1] + t * (2.0 * c[2] + 3.0 * t * c[3]);
-  }
-};
-
 class CubicSpline {
  public:
   /// Interpolate `values` sampled at x = x0 + i*dx for i in [0, n).
@@ -71,17 +38,6 @@ class CubicSpline {
     derivative = b_[i] + t * (2.0 * c_[i] + 3.0 * t * d_[i]);
   }
 
-  /// Borrowed interval-indexed (interleaved) view for SIMD evaluation
-  /// loops; the same coefficients, packed 4-per-segment.
-  PackedSplineView packed_view() const {
-    PackedSplineView v;
-    v.coef = packed_.data();
-    v.x0 = x0_;
-    v.dx = dx_;
-    v.segments = n_ - 1;
-    return v;
-  }
-
   double x_begin() const { return x0_; }
   double x_end() const { return x0_ + dx_ * static_cast<double>(n_ - 1); }
   double dx() const { return dx_; }
@@ -106,9 +62,6 @@ class CubicSpline {
   // Per-segment cubic coefficients: y = a + b t + c t^2 + d t^3 with
   // t = x - x_i (segment-local).
   std::vector<double> a_, b_, c_, d_;
-  // The same coefficients interleaved [a_i, b_i, c_i, d_i] for
-  // PackedSplineView (SIMD lanes load one segment contiguously).
-  std::vector<double> packed_;
 };
 
 }  // namespace sdcmd

@@ -20,25 +20,7 @@
 
 #include <string>
 
-#include "potential/cubic_spline.hpp"
-
 namespace sdcmd {
-
-/// Interval-indexed spline coefficients of a tabulated EAM potential, for
-/// RC's SIMD gather rows (core/detail/eam_soa.hpp): one contiguous
-/// 4-coefficient load per lane instead of four gathers; see
-/// PackedSplineView. Analytic potentials expose none, and RC then gathers
-/// through the scalar rows.
-struct EamSplineTables {
-  PackedSplineView pair_packed;
-  PackedSplineView density_packed;
-  PackedSplineView embed_packed;
-
-  bool packed_valid() const {
-    return pair_packed.valid() && density_packed.valid() &&
-           embed_packed.valid();
-  }
-};
 
 /// A radially symmetric pair interaction, valid for r in (0, cutoff].
 class PairPotential {
@@ -72,11 +54,6 @@ class EamPotential {
 
   /// Embedding energy F(rho) and dF/drho.
   virtual void embed(double rho, double& f, double& dfdrho) const = 0;
-
-  /// Packed spline tables for the SIMD gather rows, or nullptr for
-  /// analytic potentials. The returned pointer is owned by the potential
-  /// and stays valid for its lifetime.
-  virtual const EamSplineTables* spline_tables() const { return nullptr; }
 
   virtual std::string name() const = 0;
 };

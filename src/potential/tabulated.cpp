@@ -53,11 +53,4 @@ TabulatedEam TabulatedEam::from_analytic(const EamPotential& source,
   return TabulatedEam(std::move(t));
 }
 
-const EamSplineTables* TabulatedEam::spline_tables() const {
-  views_.pair_packed = pair_spline_.packed_view();
-  views_.density_packed = density_spline_.packed_view();
-  views_.embed_packed = embed_spline_.packed_view();
-  return &views_;
-}
-
 }  // namespace sdcmd

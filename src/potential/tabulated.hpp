@@ -74,7 +74,6 @@ class TabulatedEam final : public EamPotential {
     embed_spline_.evaluate(rho, f, dfdrho);
   }
 
-  const EamSplineTables* spline_tables() const override;
   std::string name() const override { return "tabulated-" + tables_.label; }
 
   const EamTables& tables() const { return tables_; }
@@ -84,9 +83,6 @@ class TabulatedEam final : public EamPotential {
   CubicSpline pair_spline_;
   CubicSpline density_spline_;
   CubicSpline embed_spline_;
-  // Refreshed on every spline_tables() call so the borrowed pointers stay
-  // correct across copies/moves of this object.
-  mutable EamSplineTables views_;
 };
 
 }  // namespace sdcmd

@@ -6,9 +6,8 @@
 //    EamForceComputer::compute_serial_reference (the uncached scalar
 //    reference) on the same configuration - rho and forces to 1e-12
 //    absolute, energies and virial to 1e-12 relative. Two potentials:
-//    analytic Finnis-Sinclair (virtual evaluation) and its tabulated form
-//    (inline spline tables; RC then gathers over a padded full list, the
-//    list shape that engages the SIMD path).
+//    analytic Finnis-Sinclair and its tabulated form (spline tables), both
+//    evaluated inline in the rows; RC gathers over a full list for each.
 //  * SDC is bitwise repeatable across calls.
 //  * Pair backend: every strategy must reproduce its own Serial strategy
 //    to the same tolerances.
@@ -167,12 +166,11 @@ Geometry make_geometry(Shape shape, const ShapeCells& cells) {
 }
 
 std::unique_ptr<NeighborList> make_list(const Geometry& g, double cutoff,
-                                        NeighborMode mode, int pad_width) {
+                                        NeighborMode mode) {
   NeighborListConfig cfg;
   cfg.cutoff = cutoff;
   cfg.skin = kSkin;
   cfg.mode = mode;
-  cfg.pad_width = pad_width;
   auto list = std::make_unique<NeighborList>(g.list_box, cfg);
   if (g.list_box.lengths().x != g.box.lengths().x) {
     EXPECT_TRUE(list->update_box(g.box))
@@ -289,11 +287,8 @@ TEST_P(EamConformance, MatchesSerialReference) {
   EamForceConfig cfg;
   cfg.strategy = strategy;
   EamForceComputer computer(pot, cfg);
-  // Lists are built the way Simulation builds them: padded exactly when
-  // the computer asks for padded tiles.
-  const auto list = make_list(g, pot.cutoff(), required_mode(strategy),
-                              computer.neighbor_pad_width());
-  const auto half = make_list(g, pot.cutoff(), NeighborMode::Half, 0);
+  const auto list = make_list(g, pot.cutoff(), required_mode(strategy));
+  const auto half = make_list(g, pot.cutoff(), NeighborMode::Half);
 
   EamOut ref(n);
   ref.result = computer.compute_serial_reference(g.box, g.positions, *half,
@@ -307,11 +302,6 @@ TEST_P(EamConformance, MatchesSerialReference) {
                                 got.force);
   expect_eam_match(ref, got);
 
-  if (pot_kind == Pot::Tabulated &&
-      strategy == ReductionStrategy::RedundantComputation) {
-    EXPECT_EQ(computer.stats().soa_steps, 1u)
-        << "RC on a padded list with packed tables must take the SIMD path";
-  }
   if (strategy == ReductionStrategy::Sdc) {
     EamOut again(n);
     again.result = computer.compute(g.box, g.positions, *list, again.rho,
@@ -356,7 +346,7 @@ PairOut run_pair(ReductionStrategy strategy, const Geometry& g) {
   PairForceComputer computer(pot, cfg);
   computer.attach_schedule(g.box, pot.cutoff() + kSkin);
   computer.on_neighbor_rebuild(g.positions);
-  const auto list = make_list(g, pot.cutoff(), required_mode(strategy), 0);
+  const auto list = make_list(g, pot.cutoff(), required_mode(strategy));
   PairOut out;
   out.force.resize(g.positions.size());
   out.result = computer.compute(g.box, g.positions, *list, out.force);
@@ -424,7 +414,7 @@ struct AlloyRun {
   AlloyRun(ReductionStrategy strategy, const Geometry& g)
       : computer(alloy_potential(), AlloyForceConfig{strategy, SdcConfig{}}),
         list(make_list(g, alloy_potential().cutoff(),
-                       required_mode(strategy), 0)) {
+                       required_mode(strategy))) {
     computer.attach_schedule(g.box, alloy_potential().cutoff() + kSkin);
     computer.on_neighbor_rebuild(g.positions);
   }

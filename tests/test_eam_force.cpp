@@ -235,8 +235,8 @@ TEST(EamForce, VirtualFallbackMatchesInlineBodiesBitwise) {
   // their header bodies inlined; a potential that only forwards to them
   // reaches the rows as EamPotential and calls the same bodies through
   // the vtable. Every strategy's rows (the cached scatter rows, RC's
-  // scalar gather on an unpadded full list) and the serial reference must
-  // give the same bits either way. One thread, so the strategies whose
+  // gather on a full list) and the serial reference must give the same
+  // bits either way. One thread, so the strategies whose
   // scatter order depends on timing add in a fixed order.
   Workload w(6);
   const TabulatedEam tabulated =

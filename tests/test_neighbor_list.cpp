@@ -67,16 +67,12 @@ struct ListArrays {
   std::vector<std::uint32_t> len;
   std::vector<std::uint32_t> list;
   std::vector<std::uint8_t> image;
-  std::vector<std::size_t> tile_index;
-  std::vector<std::uint32_t> padded;
 
   explicit ListArrays(const NeighborList& l)
       : index(l.neigh_index()),
         len(l.neigh_len()),
         list(l.neigh_list()),
-        image(l.neigh_image()),
-        tile_index(l.tile_index()),
-        padded(l.padded_list()) {}
+        image(l.neigh_image()) {}
   friend bool operator==(const ListArrays&, const ListArrays&) = default;
 };
 
@@ -484,96 +480,6 @@ TEST(NeighborList, UpdateBoxReusesStorageUntilTheGridReshapes) {
   EXPECT_EQ(pairs_from_half_list(list), expected);
 }
 
-/// Every padded tile must mirror its CSR sublist exactly: same entries in
-/// the real slots, sentinel in every tail slot, tile starts aligned to the
-/// pad width. Catches stale tiles left behind by a rebuild.
-void expect_padded_tiles_match_csr(const NeighborList& list) {
-  ASSERT_TRUE(list.has_padded_tiles());
-  const auto w = static_cast<std::size_t>(list.pad_width());
-  const std::uint32_t sentinel = list.pad_sentinel();
-  const auto& tiles = list.padded_list();
-  const auto& starts = list.tile_index();
-  ASSERT_EQ(starts.size(), list.atom_count() + 1);
-  for (std::size_t i = 0; i < list.atom_count(); ++i) {
-    const auto sub = list.neighbors(i);
-    ASSERT_EQ(starts[i] % w, 0u);
-    const std::size_t padded = (sub.size() + w - 1) / w * w;
-    ASSERT_EQ(starts[i + 1] - starts[i], padded) << "atom " << i;
-    for (std::size_t k = 0; k < sub.size(); ++k) {
-      EXPECT_EQ(tiles[starts[i] + k], sub[k]) << "atom " << i;
-    }
-    for (std::size_t k = sub.size(); k < padded; ++k) {
-      EXPECT_EQ(tiles[starts[i] + k], sentinel)
-          << "tail slot " << k << " of atom " << i;
-    }
-  }
-}
-
-TEST(NeighborList, PaddedTilesFollowDeformAcrossCellCountBoundary) {
-  // Regression: a barostat-style deformation that reshapes the cell grid
-  // must leave NO stale padded tiles after the post-update_box rebuild.
-  // The staleness risk is specific to pad_width > 1, where the tiles are a
-  // second copy of the pair enumeration.
-  Box box = Box::cubic(12.0);
-  const double cutoff = 2.6;  // + 0.4 default skin -> 3.0 range, 4^3 grid
-  auto points = random_points(box, 300, 77);
-  NeighborListConfig cfg;
-  cfg.cutoff = cutoff;
-  cfg.pad_width = 4;
-  NeighborList list(box, cfg);
-  list.build(points);
-  expect_padded_tiles_match_csr(list);
-  const std::size_t padded_before = list.padded_pair_count();
-
-  // Cross the cell-count boundary (4 -> 5 cells per dim) and rebuild the
-  // way Simulation::rebuild_geometry does: update_box, then build.
-  Box large = box;
-  large.rescale({1.3, 1.3, 1.3});
-  ASSERT_TRUE(list.update_box(large));
-  for (auto& r : points) r = large.affine_map(r, box);
-  list.build(points);
-
-  // The rebuilt tiles describe the NEW pair set exactly...
-  expect_padded_tiles_match_csr(list);
-  const auto expected =
-      pair_set(brute_force_pairs(large, points, cutoff + cfg.skin));
-  EXPECT_EQ(pairs_from_half_list(list), expected);
-  // ...and shrank with it (the grown box holds fewer pairs), proving the
-  // padded copy was resized rather than left at the old footprint.
-  EXPECT_LT(list.padded_pair_count(), padded_before);
-  EXPECT_GE(list.pad_fraction(), 0.0);
-}
-
-TEST(NeighborList, PadFractionGuardsEmptyAndUnpaddedLists) {
-  // Padding disabled: no padded copy, fraction pinned to 0 (not NaN).
-  const Box box = Box::cubic(20.0);
-  NeighborListConfig cfg;
-  cfg.cutoff = 3.0;
-  NeighborList plain(box, cfg);
-  plain.build(std::vector<Vec3>{{1.0, 1.0, 1.0}, {10.0, 10.0, 10.0}});
-  EXPECT_EQ(plain.pad_fraction(), 0.0);
-
-  // Padding enabled but ZERO pairs in range: the 0/0 case must also give
-  // 0, and the tile index must still be walkable (all-empty tiles).
-  cfg.pad_width = 4;
-  NeighborList padded(box, cfg);
-  padded.build(std::vector<Vec3>{{1.0, 1.0, 1.0}, {10.0, 10.0, 10.0}});
-  EXPECT_EQ(padded.pair_count(), 0u);
-  EXPECT_EQ(padded.pad_fraction(), 0.0);
-  EXPECT_FALSE(std::isnan(padded.pad_fraction()));
-  expect_padded_tiles_match_csr(padded);
-
-  // A rebuild that brings the atoms into range flips the fraction live.
-  padded.build(std::vector<Vec3>{{1.0, 1.0, 1.0}, {2.5, 1.0, 1.0}});
-  EXPECT_EQ(padded.pair_count(), 1u);
-  // 1 real pair padded to a 4-slot tile: fraction = 4/1 - 1 = 3.
-  EXPECT_DOUBLE_EQ(padded.pad_fraction(), 3.0);
-  // And a rebuild back to the empty configuration clears it again (the
-  // stale-gauge regression: the old value must not linger).
-  padded.build(std::vector<Vec3>{{1.0, 1.0, 1.0}, {10.0, 10.0, 10.0}});
-  EXPECT_EQ(padded.pad_fraction(), 0.0);
-}
-
 TEST(NeighborList, ConfigCompatibilityGatesInPlaceReuse) {
   const Box box = Box::cubic(13.0);
   NeighborListConfig cfg;
@@ -589,30 +495,25 @@ TEST(NeighborList, ConfigCompatibilityGatesInPlaceReuse) {
   other = cfg;
   other.sort_neighbors = true;
   EXPECT_FALSE(list.config_compatible(other));
-  other = cfg;
-  other.pad_width = 8;
-  EXPECT_FALSE(list.config_compatible(other));
 }
 
-/// Half, full, sorted and padded lists at the default skin.
+/// Half and full lists, each in stencil order and sorted, at the default
+/// skin.
 std::vector<NeighborListConfig> team_size_configs() {
   NeighborListConfig half;
   half.cutoff = 3.0;
   NeighborListConfig full = half;
   full.mode = NeighborMode::Full;
-  NeighborListConfig sorted = half;
-  sorted.sort_neighbors = true;
-  NeighborListConfig padded_full = full;
-  padded_full.sort_neighbors = true;
-  padded_full.pad_width = 8;
-  NeighborListConfig padded_half = half;
-  padded_half.pad_width = 4;
-  return {half, full, sorted, padded_full, padded_half};
+  NeighborListConfig sorted_half = half;
+  sorted_half.sort_neighbors = true;
+  NeighborListConfig sorted_full = full;
+  sorted_full.sort_neighbors = true;
+  return {half, full, sorted_half, sorted_full};
 }
 
 TEST(NeighborList, RowsAreBitwiseIdenticalForTeamSizesOneToFour) {
   // Each thread enumerates its own chunk of atoms, so the chunking changes
-  // with the team size; the CSR arrays and padded tiles must not.
+  // with the team size; the CSR arrays must not.
   ThreadCountGuard guard;
   const Box box = Box::cubic(22.0);
   const auto points = random_points(box, 3000, 404);
@@ -629,7 +530,7 @@ TEST(NeighborList, RowsAreBitwiseIdenticalForTeamSizesOneToFour) {
       EXPECT_TRUE(ListArrays(list) == expected)
           << "team " << team << ", mode "
           << (cfg.mode == NeighborMode::Half ? "half" : "full")
-          << ", sorted " << cfg.sort_neighbors << ", pad " << cfg.pad_width;
+          << ", sorted " << cfg.sort_neighbors;
     }
   }
 }
@@ -1034,7 +935,7 @@ TEST(NeighborList, BuildAllocatesOnlyOnTheCallingThread) {
     list.build(sparse);
     EXPECT_EQ(disarm_allocation_probe(), 0)
         << "mode " << (cfg.mode == NeighborMode::Half ? "half" : "full")
-        << ", sorted " << cfg.sort_neighbors << ", pad " << cfg.pad_width;
+        << ", sorted " << cfg.sort_neighbors;
   }
 }
 
