@@ -267,7 +267,7 @@ int run_hw_counters(int argc, char** argv) {
   cli.add_option("steps", "25", "timed force evaluations");
   cli.add_option("warmup", "5", "untimed evaluations before the clock");
   cli.add_option("strategy", "sdc",
-                 "serial|critical|atomic|locks|sap|rc|sdc|celltask");
+                 "serial|critical|atomic|locks|sap|rc|sdc");
   cli.add_option("metrics-out", "", "write sdcmd.bench.v1 JSON here");
   if (!cli.parse(argc, argv)) return 1;
 

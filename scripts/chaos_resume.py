@@ -405,6 +405,11 @@ def legacy_ring_drill(args) -> None:
     every = args.checkpoint_every
     out = run_to(args, start + every, True, "legacy: resume")
     check_resumed_at(out, start, "legacy: resume")
+    # Pass the resume's warnings on: an old ring may carry state this build
+    # drops (tests/data/v2_ring's sidecar records a retired governor rung).
+    for line in out.splitlines():
+        if line.startswith("[sdcmd:warn]"):
+            note(f"[legacy: resume] {line}")
     audit(args.run_dir, args.keep, start + every, "legacy: after v3 commits")
     versions = ring_versions(args.run_dir)
     if not (old & set(versions.values()) and 3 in versions.values()):

@@ -36,12 +36,6 @@ struct Timing {
   /// pass requested hw_counters AND perf_event_open was available.
   std::array<obs::HwCounts, 3> hw{};
   bool hw_valid = false;
-  // CellTask work-stealing shape (all zero unless strategy == CellTask).
-  std::size_t task_spawned = 0;          ///< block tasks run per step
-  std::size_t task_steals = 0;           ///< of those, stolen, per step
-  std::size_t task_max_queue_depth = 0;  ///< longest initial home queue
-  double task_busy_min = 0.0;            ///< slowest thread's busy fraction
-  double task_busy_mean = 0.0;
   /// Max per-color work_max/work_mean over the density and force phases of
   /// the last timed step; 0 when the pass was uninstrumented. This is the
   /// barrier-stretch gauge the void drill compares across strategies.

@@ -48,7 +48,7 @@ class AlloyForceComputer {
                      AlloyForceConfig config);
   ~AlloyForceComputer();
 
-  /// See EamForceComputer: required for Sdc and CellTask before compute().
+  /// See EamForceComputer: required for Sdc before compute().
   void attach_schedule(const Box& box, double interaction_range);
   void on_neighbor_rebuild(std::span<const Vec3> positions);
 

@@ -1,5 +1,5 @@
 // The one kernel skeleton behind every irregular reduction in the force
-// computers (the paper's Section II.C strategies and the CellTask shape).
+// computers (the paper's Section II.C strategies).
 //
 // A scatter phase is three independent choices, each written once:
 //
@@ -12,10 +12,10 @@
 //                 them in registers;
 //  * protection - how a contribution reaches the shared array: plain add,
 //                 critical section, atomic, striped lock, gather-only
-//                 (full lists), a thread replica, or block staging;
+//                 (full lists), or a thread replica;
 //  * shape      - which thread runs which rows and where the team syncs:
-//                 a static sweep over rows, the SDC color sweep, CellTask
-//                 block queues, or SAP replicas plus merge.
+//                 a static sweep over rows, the SDC color sweep, or SAP
+//                 replicas plus merge.
 //
 // ReductionEngine maps a ReductionStrategy to its (shape, protection) pair
 // and owns the schedule and scratch that pair needs. Shapes are orphaned
@@ -26,7 +26,7 @@
 // Profiled variants: with an enabled SdcSweepProfiler each thread clocks
 // its work span and its wait at the closing barrier, recorded under
 // (phase, color, thread); colorless shapes record color 0. With the
-// profiler off no clock is read (CellTask always clocks its busy time).
+// profiler off no clock is read.
 #pragma once
 
 #include <omp.h>
@@ -39,7 +39,6 @@
 
 #include "common/timer.hpp"
 #include "common/vec3.hpp"
-#include "core/cell_task_schedule.hpp"
 #include "core/lock_pool.hpp"
 #include "core/sdc_schedule.hpp"
 #include "core/strategy.hpp"
@@ -111,44 +110,6 @@ struct StripedLockScatter {
   }
 };
 
-/// CellTask: while a task holds its own block's lock, writes into that
-/// block go straight through; writes into foreign blocks are staged and
-/// flushed afterwards under each target block's lock (grouped by runs of
-/// the same target block, which rows cluster: a row lists its neighbors
-/// cell by cell, in the list's stencil order). At most one lock is held
-/// at a time, so the scheme is deadlock-free for any block geometry.
-template <class T>
-struct BlockStagedScatter {
-  static constexpr bool kScatters = true;
-  T* out;
-  const CellTaskSchedule* sched;
-  std::vector<CellTaskRuntime::Entry<T>>* stage;
-  std::uint32_t block = 0;  ///< the running task's block
-
-  void add(std::size_t k, const T& v) const {
-    const auto j = static_cast<std::uint32_t>(k);
-    if (sched->block_of(j) == block) {
-      out[k] += v;
-    } else {
-      stage->push_back({j, v});
-    }
-  }
-
-  void flush(LockPool& locks) {
-    std::size_t k = 0;
-    while (k < stage->size()) {
-      const std::uint32_t tb = sched->block_of((*stage)[k].j);
-      locks.acquire(tb);
-      do {
-        out[(*stage)[k].j] += (*stage)[k].v;
-        ++k;
-      } while (k < stage->size() && sched->block_of((*stage)[k].j) == tb);
-      locks.release(tb);
-    }
-    stage->clear();
-  }
-};
-
 // --- profiled spans ---------------------------------------------------------
 
 inline double span_start(const obs::SdcSweepProfiler* prof) {
@@ -214,51 +175,6 @@ void color_sweep(const Partition& part, obs::SdcSweepProfiler* prof,
   }
 }
 
-/// CellTask block queues (Mangiardi/Meyer, arXiv:1611.00075): each block
-/// is one task; threads drain their strided home slice of the LPT order
-/// through an atomic cursor, then steal round-robin from the other
-/// slices with the same fetch_add, so a task runs exactly once and no
-/// thread idles while any queue holds work. A task runs its block's rows
-/// under the block's lock and flushes its staged cross-block writes
-/// after releasing it. The only barrier is the phase boundary.
-template <class T, class Body>
-void task_sweep(const CellTaskSchedule& sched, CellTaskRuntime& rt,
-                LockPool& locks, T* out, Body& body,
-                obs::SdcSweepProfiler* prof, int phase) {
-  const int tid = omp_get_thread_num();
-  CellTaskRuntime::ThreadState& me = rt.thread(tid);
-  BlockStagedScatter<T> s{out, &sched, &me.stage<T>()};
-  const std::vector<std::uint32_t>& order = sched.task_order();
-  const std::size_t team = static_cast<std::size_t>(rt.team());
-  auto run_task = [&](std::uint32_t b) {
-    s.block = b;
-    locks.acquire(b);
-    for (std::uint32_t i : sched.atoms_in_block(b)) body(i, s);
-    locks.release(b);
-    s.flush(locks);
-  };
-  const double start = wall_time();
-  for (std::size_t off = 0; off < team; ++off) {
-    const std::size_t victim = (static_cast<std::size_t>(tid) + off) % team;
-    std::atomic<std::uint32_t>& cursor =
-        rt.thread(static_cast<int>(victim)).cursor[phase];
-    for (;;) {
-      const std::size_t pos =
-          victim + static_cast<std::size_t>(
-                       cursor.fetch_add(1, std::memory_order_relaxed)) *
-                       team;
-      if (pos >= order.size()) break;
-      run_task(order[pos]);
-      ++me.tasks;
-      if (off > 0) ++me.steals;
-    }
-  }
-  const double t_work = wall_time();
-  me.busy_seconds += t_work - start;
-#pragma omp barrier
-  if (prof != nullptr) record_span(prof, phase, 0, start, t_work);
-}
-
 /// Paper class 2 (SAP): each thread zeroes its own replica (first touch),
 /// sweeps its rows into it unprotected, then the team merges - each
 /// thread sums one index range across every replica, in thread order.
@@ -282,23 +198,24 @@ void replica_sweep(std::vector<std::vector<T>>& priv, std::size_t n, T* out,
 // --- strategy -> (shape, protection) ----------------------------------------
 
 /// A force computer's reduction strategy plus the schedule and scratch its
-/// shape needs: the SDC schedule, the cell-task grid with one lock per
-/// block and its work-stealing runtime, the striped lock pool, and the SAP
-/// replicas. Shared by the EAM and pair computers.
+/// shape needs: the SDC schedule, the striped lock pool, and the SAP
+/// replicas. Shared by the EAM, pair and alloy computers.
 class ReductionEngine {
  public:
+  /// Throws PreconditionError for a retired strategy (one not in
+  /// kAllStrategies): no shape or protection remains for it.
   ReductionEngine(ReductionStrategy strategy, SdcConfig sdc);
   ~ReductionEngine();
 
   ReductionStrategy strategy() const { return strategy_; }
 
-  /// Build the SDC schedule (Sdc) or the cell-task grid and its per-block
-  /// locks (CellTask); a no-op otherwise.
+  /// Build the SDC schedule (Sdc); a no-op otherwise.
   void attach_schedule(const Box& box, double interaction_range);
-  /// Re-partition atoms after a neighbor-list rebuild (Sdc, CellTask).
+  /// Re-partition atoms after a neighbor-list rebuild (Sdc).
   void on_neighbor_rebuild(std::span<const Vec3> positions);
   /// Swap strategies; drops the outgoing strategy's schedule. Throws
-  /// PreconditionError when the swap changes the neighbor-list mode.
+  /// PreconditionError when the swap changes the neighbor-list mode or
+  /// names a retired strategy.
   void set_strategy(ReductionStrategy strategy);
   /// Throws PreconditionError unless the strategy's schedule is built for
   /// `n` atoms. Call before the parallel region: shapes never throw.
@@ -310,8 +227,7 @@ class ReductionEngine {
   void begin(std::size_t n, int team, obs::SdcSweepProfiler* prof);
 
   /// Inside the region: one scatter phase of `body` into `out`, under the
-  /// active strategy. `phase` indexes the profiler and, for CellTask, the
-  /// work queue (each phase of a step drains its own).
+  /// active strategy. `phase` indexes the profiler.
   template <class T, class Body>
   void run(int phase, T* out, Body& body) {
     auto rows = [&body](auto& s) {
@@ -346,12 +262,11 @@ class ReductionEngine {
         color_sweep(schedule_->partition(), prof_, phase, rows(s));
         break;
       }
-      case ReductionStrategy::CellTask:
-        task_sweep(*task_sched_, *task_rt_, *block_locks_, out, body, prof_,
-                   phase);
-        break;
       case ReductionStrategy::ArrayPrivatization:
         replica_sweep(replicas<T>(), n_, out, body, prof_, phase);
+        break;
+      case ReductionStrategy::CellTask:
+        // Retired: the constructor and set_strategy refuse it.
         break;
     }
   }
@@ -364,9 +279,6 @@ class ReductionEngine {
   }
 
   const SdcSchedule* schedule() const { return schedule_.get(); }
-  const CellTaskSchedule* task_schedule() const { return task_sched_.get(); }
-  /// The work-stealing runtime of the last CellTask step (null before).
-  const CellTaskRuntime* task_runtime() const { return task_rt_.get(); }
   /// Bytes held by SAP replicas (0 unless SAP has run).
   std::size_t replica_bytes() const;
 
@@ -383,9 +295,6 @@ class ReductionEngine {
   ReductionStrategy strategy_;
   SdcConfig sdc_;
   std::unique_ptr<SdcSchedule> schedule_;
-  std::unique_ptr<CellTaskSchedule> task_sched_;
-  std::unique_ptr<LockPool> block_locks_;  ///< one lock per cell block
-  std::unique_ptr<CellTaskRuntime> task_rt_;
   std::unique_ptr<LockPool> stripes_;
   std::vector<std::vector<double>> sap_scalar_;
   std::vector<std::vector<Vec3>> sap_vec_;

@@ -74,10 +74,6 @@ const SdcSchedule* EamForceComputer::schedule() const {
   return engine_->schedule();
 }
 
-const CellTaskSchedule* EamForceComputer::task_schedule() const {
-  return engine_->task_schedule();
-}
-
 EamForceResult EamForceComputer::compute(const Box& box,
                                          std::span<const Vec3> positions,
                                          const NeighborList& list,
@@ -245,26 +241,6 @@ EamForceResult EamForceComputer::compute(const Box& box,
   if (config_.strategy == ReductionStrategy::Sdc) {
     stats_.color_sweeps +=
         2 * static_cast<std::size_t>(engine_->schedule()->color_count());
-  }
-  stats_.task_busy_min = 0.0;
-  stats_.task_busy_mean = 0.0;
-  if (config_.strategy == ReductionStrategy::CellTask) {
-    const CellTaskRuntime& rt = *engine_->task_runtime();
-    double busy_max = 0.0, busy_sum = 0.0, busy_min = 0.0;
-    for (int t = 0; t < rt.team(); ++t) {
-      const CellTaskRuntime::ThreadState& ts = rt.thread(t);
-      stats_.task_spawned += ts.tasks;
-      stats_.task_steals += ts.steals;
-      busy_max = std::max(busy_max, ts.busy_seconds);
-      busy_sum += ts.busy_seconds;
-      busy_min = t == 0 ? ts.busy_seconds : std::min(busy_min, ts.busy_seconds);
-    }
-    stats_.task_max_queue_depth =
-        std::max(stats_.task_max_queue_depth, rt.max_queue_depth());
-    if (busy_max > 0.0) {
-      stats_.task_busy_min = busy_min / busy_max;
-      stats_.task_busy_mean = busy_sum / (busy_max * rt.team());
-    }
   }
   stats_.private_array_bytes =
       std::max(stats_.private_array_bytes, engine_->replica_bytes());

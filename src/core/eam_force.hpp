@@ -22,7 +22,6 @@
 
 #include "common/timer.hpp"
 #include "common/vec3.hpp"
-#include "core/cell_task_schedule.hpp"
 #include "core/sdc_schedule.hpp"
 #include "core/strategy.hpp"
 #include "neighbor/neighbor_list.hpp"
@@ -50,15 +49,6 @@ struct EamKernelStats {
   std::size_t cache_store_slots = 0;    ///< pair-cache slots written (phase 1)
   std::size_t cache_read_slots = 0;     ///< pair-cache slots read (phase 3)
   std::size_t pair_cache_bytes = 0;     ///< high-water pair-cache footprint
-  // CellTask work-stealing accounting (0 unless the strategy is CellTask).
-  std::size_t task_spawned = 0;         ///< block tasks run (both phases)
-  std::size_t task_steals = 0;          ///< of those, claimed from a foreign queue
-  std::size_t task_max_queue_depth = 0; ///< longest initial per-thread queue
-  /// Per-thread busy fraction over the two scatter phases at the last
-  /// compute(): each thread's kernel seconds divided by the slowest
-  /// thread's (1.0 = perfectly balanced; 0 when the shape is inactive).
-  double task_busy_min = 0.0;
-  double task_busy_mean = 0.0;
 };
 
 struct EamForceConfig {
@@ -79,15 +69,14 @@ class EamForceComputer {
   EamForceComputer& operator=(const EamForceComputer&) = delete;
 
   /// Build the strategy's spatial schedule for `box`: the SDC
-  /// decomposition/coloring under Sdc, the cell-task block grid + per-block
-  /// lock pool under CellTask; a no-op otherwise. Required before compute()
-  /// for both scheduled strategies. `interaction_range` must be >=
-  /// potential cutoff + neighbor skin.
+  /// decomposition/coloring under Sdc; a no-op otherwise. Required before
+  /// compute() under Sdc. `interaction_range` must be >= potential cutoff
+  /// + neighbor skin.
   void attach_schedule(const Box& box, double interaction_range);
 
-  /// Re-partition atoms over subdomains/blocks; call after every
-  /// neighbor-list rebuild (the paper rebuilds SDC state exactly then).
-  /// No-op for unscheduled strategies.
+  /// Re-partition atoms over subdomains; call after every neighbor-list
+  /// rebuild (the paper rebuilds SDC state exactly then). No-op for
+  /// unscheduled strategies.
   void on_neighbor_rebuild(std::span<const Vec3> positions);
 
   /// Evaluate densities, embedding and forces. `list.mode()` must match
@@ -102,14 +91,14 @@ class EamForceComputer {
   /// Hot-swap the reduction strategy mid-run (the StrategyGovernor's
   /// degradation ladder). Allocates the new strategy's workspace (SAP
   /// replicas, lock pool) on the next compute() and drops a stale SDC
-  /// schedule / cell-task grid when leaving Sdc / CellTask; the pair cache
-  /// and fused one-region pipeline carry over untouched. The caller must
-  /// re-run attach_schedule + on_neighbor_rebuild before the next compute()
-  /// when swapping TO Sdc or CellTask. No-op when `strategy` is already
-  /// active.
+  /// schedule when leaving Sdc; the pair cache and fused one-region
+  /// pipeline carry over untouched. The caller must re-run attach_schedule
+  /// + on_neighbor_rebuild before the next compute() when swapping TO Sdc.
+  /// No-op when `strategy` is already active.
   /// Throws PreconditionError on a swap that changes the required
   /// neighbor-list mode (to or from RedundantComputation) - the ladder
-  /// never does that.
+  /// never does that - and on a retired strategy, which the constructor
+  /// refuses too.
   void set_strategy(ReductionStrategy strategy);
 
   const EamForceConfig& config() const { return config_; }
@@ -139,9 +128,6 @@ class EamForceComputer {
 
   /// The SDC schedule, or nullptr for non-SDC strategies.
   const SdcSchedule* schedule() const;
-
-  /// The cell-task block grid, or nullptr for non-CellTask strategies.
-  const CellTaskSchedule* task_schedule() const;
 
   /// Single-threaded reference evaluation into caller-owned scratch, used
   /// by the governor's periodic shadow validation and the conformance

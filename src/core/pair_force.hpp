@@ -5,7 +5,7 @@
 // the Section I workload claim (EAM ~ 2x the pair-potential computation:
 // bench_eam_vs_pair). One computational phase instead of EAM's three, run
 // through the same kernel skeleton (core/detail/skeleton.hpp), so every
-// strategy - CellTask included - is available here too.
+// strategy is available here too.
 #pragma once
 
 #include <memory>
@@ -43,7 +43,7 @@ class PairForceComputer {
   PairForceComputer(const PairForceComputer&) = delete;
   PairForceComputer& operator=(const PairForceComputer&) = delete;
 
-  /// See EamForceComputer: required for Sdc and CellTask before compute().
+  /// See EamForceComputer: required for Sdc before compute().
   void attach_schedule(const Box& box, double interaction_range);
   void on_neighbor_rebuild(std::span<const Vec3> positions);
 
@@ -53,8 +53,7 @@ class PairForceComputer {
   /// Hot-swap the reduction strategy (see EamForceComputer::set_strategy).
   /// Workspaces are allocated lazily in compute(), so this only swaps the
   /// config and drops a stale schedule; re-run attach_schedule +
-  /// on_neighbor_rebuild before the next compute() when swapping TO Sdc or
-  /// CellTask.
+  /// on_neighbor_rebuild before the next compute() when swapping TO Sdc.
   void set_strategy(ReductionStrategy strategy);
 
   const PairForceConfig& config() const { return config_; }

@@ -1,10 +1,28 @@
+#include <algorithm>
+#include <iterator>
+
 #include "common/error.hpp"
 #include "core/detail/skeleton.hpp"
 
 namespace sdcmd::detail {
 
+namespace {
+
+/// A retired strategy value (one not in kAllStrategies) has no shape or
+/// protection left; refuse it before any parallel region opens.
+void require_runnable(ReductionStrategy strategy) {
+  SDCMD_REQUIRE(std::find(std::begin(kAllStrategies), std::end(kAllStrategies),
+                          strategy) != std::end(kAllStrategies),
+                "reduction strategy '" + to_string(strategy) +
+                    "' is retired and no longer runs");
+}
+
+}  // namespace
+
 ReductionEngine::ReductionEngine(ReductionStrategy strategy, SdcConfig sdc)
-    : strategy_(strategy), sdc_(sdc) {}
+    : strategy_(strategy), sdc_(sdc) {
+  require_runnable(strategy);
+}
 
 ReductionEngine::~ReductionEngine() = default;
 
@@ -12,10 +30,6 @@ void ReductionEngine::attach_schedule(const Box& box,
                                       double interaction_range) {
   if (strategy_ == ReductionStrategy::Sdc) {
     schedule_ = std::make_unique<SdcSchedule>(box, interaction_range, sdc_);
-  } else if (strategy_ == ReductionStrategy::CellTask) {
-    task_sched_ = std::make_unique<CellTaskSchedule>(box, interaction_range);
-    // One lock per block: block -> lock is the identity, no stripe sharing.
-    block_locks_ = std::make_unique<LockPool>(task_sched_->block_count());
   }
 }
 
@@ -24,15 +38,12 @@ void ReductionEngine::on_neighbor_rebuild(std::span<const Vec3> positions) {
     SDCMD_REQUIRE(schedule_ != nullptr,
                   "attach_schedule must run before on_neighbor_rebuild");
     schedule_->rebuild(positions);
-  } else if (strategy_ == ReductionStrategy::CellTask) {
-    SDCMD_REQUIRE(task_sched_ != nullptr,
-                  "attach_schedule must run before on_neighbor_rebuild");
-    task_sched_->rebuild(positions);
   }
 }
 
 void ReductionEngine::set_strategy(ReductionStrategy strategy) {
   if (strategy == strategy_) return;
+  require_runnable(strategy);
   SDCMD_REQUIRE(required_mode(strategy) == required_mode(strategy_),
                 "cannot hot-swap " + to_string(strategy_) + " -> " +
                     to_string(strategy) +
@@ -41,10 +52,6 @@ void ReductionEngine::set_strategy(ReductionStrategy strategy) {
   // Free the outgoing schedule; a later re-promotion rebuilds it through
   // attach_schedule + on_neighbor_rebuild.
   if (strategy != ReductionStrategy::Sdc) schedule_.reset();
-  if (strategy != ReductionStrategy::CellTask) {
-    task_sched_.reset();
-    block_locks_.reset();
-  }
 }
 
 void ReductionEngine::require_ready(std::size_t n) const {
@@ -55,13 +62,6 @@ void ReductionEngine::require_ready(std::size_t n) const {
     SDCMD_REQUIRE(schedule_->partition().atom_count() == n,
                   "partition is stale: rebuild the SDC schedule after the "
                   "neighbor list");
-  } else if (strategy_ == ReductionStrategy::CellTask) {
-    SDCMD_REQUIRE(task_sched_ != nullptr && task_sched_->built(),
-                  "cell-task schedule not built; call attach_schedule and "
-                  "on_neighbor_rebuild first");
-    SDCMD_REQUIRE(task_sched_->atom_count() == n,
-                  "cell-task partition is stale: rebuild the schedule after "
-                  "the neighbor list");
   }
 }
 
@@ -79,12 +79,6 @@ void ReductionEngine::begin(std::size_t n, int team,
       break;
     case ReductionStrategy::LockStriped:
       if (stripes_ == nullptr) stripes_ = std::make_unique<LockPool>();
-      break;
-    case ReductionStrategy::CellTask:
-      // Both phases' queues are armed here, so the region needs no reset
-      // (and no extra barrier) between density and force.
-      if (task_rt_ == nullptr) task_rt_ = std::make_unique<CellTaskRuntime>();
-      task_rt_->reset(team, task_sched_->block_count());
       break;
     default:
       break;

@@ -41,19 +41,12 @@ ReductionStrategy parse_strategy(const std::string& name) {
     return ReductionStrategy::RedundantComputation;
   }
   if (lower == "sdc" || lower == "coloring") return ReductionStrategy::Sdc;
-  if (lower == "celltask" || lower == "cell-task" || lower == "task") {
-    return ReductionStrategy::CellTask;
-  }
   throw PreconditionError("unknown reduction strategy '" + name + "'");
 }
 
 NeighborMode required_mode(ReductionStrategy s) {
   return s == ReductionStrategy::RedundantComputation ? NeighborMode::Full
                                                       : NeighborMode::Half;
-}
-
-bool is_parallel(ReductionStrategy s) {
-  return s != ReductionStrategy::Serial;
 }
 
 }  // namespace sdcmd

@@ -27,15 +27,16 @@ enum class ReductionStrategy {
   /// The paper's contribution: spatial decomposition coloring. Race-free
   /// scatter via color-wise sweeps separated by implicit barriers.
   Sdc,
-  /// Mangiardi/Meyer hybrid cell-task shape (arXiv:1611.00075): cell
-  /// blocks become work-stealing tasks with per-block locks taken only on
-  /// actual cross-block conflict, so threads never idle at a color
-  /// boundary. Wins on inhomogeneous systems where SDC's even split
-  /// load-balances badly.
+  /// Retired: the block-task shape after Mangiardi/Meyer
+  /// (arXiv:1611.00075), deleted once it measured slower than SAP on every
+  /// box the governor could give it (EXPERIMENTS.md, "CellTask deleted").
+  /// The value stays so its strategy code (7) is never reused; it is not
+  /// in kAllStrategies, no name parses to it, and the force computers
+  /// refuse it.
   CellTask,
 };
 
-/// All strategies, in the order benches report them.
+/// Every strategy that runs, in the order benches report them.
 inline constexpr ReductionStrategy kAllStrategies[] = {
     ReductionStrategy::Serial,
     ReductionStrategy::Critical,
@@ -44,21 +45,16 @@ inline constexpr ReductionStrategy kAllStrategies[] = {
     ReductionStrategy::ArrayPrivatization,
     ReductionStrategy::RedundantComputation,
     ReductionStrategy::Sdc,
-    ReductionStrategy::CellTask,
 };
 
 std::string to_string(ReductionStrategy s);
 
 /// Parse "serial" / "critical" / "atomic" / "locks" / "sap" / "rc" /
-/// "sdc" / "celltask" (also accepts the long names). Throws
-/// PreconditionError on junk.
+/// "sdc" (also accepts the long names). Throws PreconditionError on junk.
 ReductionStrategy parse_strategy(const std::string& name);
 
 /// The neighbor-list flavor a strategy's kernels need: Full for
 /// RedundantComputation, Half for everything else.
 NeighborMode required_mode(ReductionStrategy s);
-
-/// True for strategies whose scatter phase runs multi-threaded.
-bool is_parallel(ReductionStrategy s);
 
 }  // namespace sdcmd

@@ -22,7 +22,7 @@ StrategyGovernor::StrategyGovernor(GovernorConfig config)
     : config_(config) {
   SDCMD_REQUIRE(ladder_index(config_.preferred) >= 0,
                 "governor preferred strategy must be on the ladder "
-                "(sdc, celltask, sap, locks, atomic or serial), got " +
+                "(sdc, sap, locks, atomic or serial), got " +
                     to_string(config_.preferred));
   SDCMD_REQUIRE(config_.promote_streak >= 1,
                 "promotion streak must be >= 1");
@@ -40,6 +40,14 @@ int StrategyGovernor::ladder_index(ReductionStrategy s) {
     if (kLadder[i] == s) return i;
   }
   return -1;
+}
+
+ReductionStrategy StrategyGovernor::rung_below(ReductionStrategy rung) {
+  const int index = ladder_index(rung);
+  SDCMD_REQUIRE(index >= 0, "strategy " + to_string(rung) +
+                                " is not on the governor ladder");
+  const int last = static_cast<int>(std::size(kLadder)) - 1;
+  return kLadder[std::min(index + 1, last)];
 }
 
 int StrategyGovernor::strategy_code(ReductionStrategy s) {
@@ -83,8 +91,6 @@ bool StrategyGovernor::rung_feasible(ReductionStrategy rung, const Box& box,
   switch (rung) {
     case ReductionStrategy::Sdc:
       return SdcSchedule::feasible(box, interaction_range, config_.sdc);
-    case ReductionStrategy::CellTask:
-      return CellTaskSchedule::feasible(box, interaction_range);
     case ReductionStrategy::ArrayPrivatization:
       return config_.max_private_bytes == 0 ||
              sap_bytes(threads, atom_count) <= config_.max_private_bytes;
@@ -239,13 +245,9 @@ GovernorDecision StrategyGovernor::on_shadow_mismatch(
     decision.reason = "shadow mismatch on the serial rung: " + detail;
     return decision;
   }
-  const int below = ladder_index(state_.active) + 1;
   // Geometry said the rung was fine and the numbers disagree anyway - do
   // not trust the feasibility probe, just step one rung down.
-  const ReductionStrategy next =
-      below < static_cast<int>(std::size(kLadder))
-          ? kLadder[below]
-          : ReductionStrategy::Serial;
+  const ReductionStrategy next = rung_below(state_.active);
   return demote_to(next, "shadow validation mismatch on " +
                              to_string(state_.active) + " (" + detail +
                              "); demoting to " + to_string(next));

@@ -8,12 +8,7 @@
 // InfeasibleError, the governor re-validates feasibility on every box
 // change and walks a graceful degradation ladder:
 //
-//     SDC -> CellTask -> ArrayPrivatization -> LockStriped -> Atomic -> Serial
-//
-// CellTask (the Mangiardi/Meyer cell-task shape) sits directly below SDC:
-// it only needs two cell blocks rather than SDC's even-per-dimension split,
-// so most boxes that break SDC still run lock-cheap cell tasks before the
-// ladder falls back to SAP's thread-linear replicas.
+//     SDC -> ArrayPrivatization -> LockStriped -> Atomic -> Serial
 //
 // Demotion is immediate (the active rung's precondition just vanished);
 // re-promotion is hysteretic: the box must stay feasible for
@@ -31,7 +26,6 @@
 #include <optional>
 #include <string>
 
-#include "core/cell_task_schedule.hpp"
 #include "core/sdc_schedule.hpp"
 #include "core/strategy.hpp"
 #include "geom/box.hpp"
@@ -40,7 +34,7 @@ namespace sdcmd {
 
 struct GovernorConfig {
   /// Top rung of the ladder; must be one of the ladder strategies
-  /// (Sdc, CellTask, ArrayPrivatization, LockStriped, Atomic, Serial).
+  /// (Sdc, ArrayPrivatization, LockStriped, Atomic, Serial).
   ReductionStrategy preferred = ReductionStrategy::Sdc;
   /// SDC settings used when probing/running the Sdc rung.
   SdcConfig sdc;
@@ -91,7 +85,6 @@ class StrategyGovernor {
   /// The degradation ladder, best rung first.
   static constexpr ReductionStrategy kLadder[] = {
       ReductionStrategy::Sdc,
-      ReductionStrategy::CellTask,
       ReductionStrategy::ArrayPrivatization,
       ReductionStrategy::LockStriped,
       ReductionStrategy::Atomic,
@@ -126,6 +119,11 @@ class StrategyGovernor {
   /// one rung regardless of what the geometry claims.
   GovernorDecision on_shadow_mismatch(const std::string& detail);
 
+  /// The rung one below `rung` on the ladder; Serial, the bottom rung,
+  /// maps to itself. Throws PreconditionError when `rung` is not on the
+  /// ladder.
+  static ReductionStrategy rung_below(ReductionStrategy rung);
+
   /// Non-throwing feasibility probe for one rung.
   bool rung_feasible(ReductionStrategy rung, const Box& box,
                      double interaction_range, int threads,
@@ -143,10 +141,11 @@ class StrategyGovernor {
   int required_streak() const;
 
   /// Stable numeric encoding for the governor.active_strategy gauge:
-  /// serial=0, critical=1, atomic=2, locks=3, sap=4, rc=5, sdc=6,
-  /// celltask=7. Codes are append-only: a new rung NEVER renumbers an old
-  /// one, so sidecars written by any ladder version decode or are rejected,
-  /// never misdecoded.
+  /// serial=0, critical=1, atomic=2, locks=3, sap=4, rc=5, sdc=6; 7 is the
+  /// retired CellTask, which decodes to nothing. Codes are append-only: a
+  /// new rung NEVER renumbers an old one or reuses a retired one, so
+  /// sidecars written by any ladder version decode or are rejected, never
+  /// misdecoded.
   static int strategy_code(ReductionStrategy s);
 
   /// Inverse of strategy_code, for restoring a checkpointed rung from the

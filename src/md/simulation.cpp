@@ -362,11 +362,6 @@ void Simulation::set_instrumentation(InstrumentationConfig config) {
     obs_handles_.pair_cache_bytes = r.gauge("eam.pair_cache_bytes");
     obs_handles_.cache_stores = r.counter("eam.cache_store_slots");
     obs_handles_.cache_reads = r.counter("eam.cache_read_slots");
-    obs_handles_.task_spawned = r.counter("task.spawned");
-    obs_handles_.task_steals = r.counter("task.steals");
-    obs_handles_.task_queue_depth = r.gauge("task.max_queue_depth");
-    obs_handles_.task_busy_min = r.gauge("task.busy_min");
-    obs_handles_.task_busy_mean = r.gauge("task.busy_mean");
     obs_handles_.governor_strategy = r.gauge("governor.active_strategy");
     obs_handles_.governor_demotions = r.counter("governor.demotions");
     obs_handles_.governor_promotions = r.counter("governor.promotions");
@@ -409,8 +404,6 @@ void Simulation::set_instrumentation(InstrumentationConfig config) {
     if (const EamForceComputer* computer = provider_->eam_computer()) {
       obs_handles_.prev_cache_stores = computer->stats().cache_store_slots;
       obs_handles_.prev_cache_reads = computer->stats().cache_read_slots;
-      obs_handles_.prev_task_spawned = computer->stats().task_spawned;
-      obs_handles_.prev_task_steals = computer->stats().task_steals;
     }
     obs_handles_.prev_grid_reshapes = ns.grid_reshapes;
     obs_handles_.prev_stencil_rebuilds = ns.stencil_rebuilds;
@@ -667,20 +660,6 @@ void Simulation::run(long steps, const Callback& callback,
                                                obs_handles_.prev_cache_reads));
         obs_handles_.prev_cache_stores = ks.cache_store_slots;
         obs_handles_.prev_cache_reads = ks.cache_read_slots;
-        // CellTask work-stealing family: flat zeros unless the active
-        // strategy is CellTask (the kernels never touch these otherwise).
-        obs_.registry->add(obs_handles_.task_spawned,
-                           static_cast<double>(ks.task_spawned -
-                                               obs_handles_.prev_task_spawned));
-        obs_.registry->add(obs_handles_.task_steals,
-                           static_cast<double>(ks.task_steals -
-                                               obs_handles_.prev_task_steals));
-        obs_handles_.prev_task_spawned = ks.task_spawned;
-        obs_handles_.prev_task_steals = ks.task_steals;
-        obs_.registry->set(obs_handles_.task_queue_depth,
-                           static_cast<double>(ks.task_max_queue_depth));
-        obs_.registry->set(obs_handles_.task_busy_min, ks.task_busy_min);
-        obs_.registry->set(obs_handles_.task_busy_mean, ks.task_busy_mean);
       }
       const NeighborBuildStats ns = neighbor_stats();
       obs_.registry->add(obs_handles_.grid_reshapes,

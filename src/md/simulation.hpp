@@ -337,14 +337,6 @@ class Simulation {
     std::size_t pair_cache_bytes = 0;
     std::size_t cache_stores = 0;
     std::size_t cache_reads = 0;
-    // CellTask work-stealing family (task.*): spawn/steal counters plus
-    // queue-depth and busy-fraction gauges; all 0 / flat unless the active
-    // strategy is CellTask.
-    std::size_t task_spawned = 0;
-    std::size_t task_steals = 0;
-    std::size_t task_queue_depth = 0;
-    std::size_t task_busy_min = 0;
-    std::size_t task_busy_mean = 0;
     std::size_t governor_strategy = 0;
     std::size_t governor_demotions = 0;
     std::size_t governor_promotions = 0;
@@ -374,8 +366,6 @@ class Simulation {
     // so each step adds only its delta to the registry counters.
     std::size_t prev_cache_stores = 0;
     std::size_t prev_cache_reads = 0;
-    std::size_t prev_task_spawned = 0;
-    std::size_t prev_task_steals = 0;
     // Same delta bookkeeping for the cumulative neighbor-pipeline stats
     // (seeded in set_instrumentation so counters measure from attach).
     std::size_t prev_grid_reshapes = 0;

@@ -227,8 +227,9 @@ RunState parse_run_state(const std::string& json) {
     throw ParseError("run_state: step must be non-negative");
   }
   // Decode the governor rung defensively: a sidecar written by a NEWER
-  // ladder may carry a code this build has never heard of (codes are
-  // append-only, so misdecoding is impossible — but so is guessing).
+  // ladder may carry a code this build has never heard of, and an older
+  // one a retired code (7) that decodes to nothing (codes are append-only
+  // and never reused, so misdecoding is impossible — but so is guessing).
   // Dropping only the governor block keeps the rest of the sidecar (step,
   // dt, momentum flag, checkpoint pointer) usable: the resumed run falls
   // back to fresh governor setup instead of discarding the whole resume.
@@ -237,10 +238,10 @@ RunState parse_run_state(const std::string& json) {
   if (active && StrategyGovernor::on_ladder(*active)) {
     state.governor.active = *active;
   } else if (state.has_governor) {
-    SDCMD_WARN("run_state: unknown or off-ladder governor strategy code "
+    SDCMD_WARN("run_state: unknown, retired or off-ladder governor "
+               "strategy code "
                << strategy_code
-               << " (written by a newer build?); ignoring the saved "
-                  "governor state");
+               << "; ignoring the saved governor state");
     state.has_governor = false;
     state.governor = GovernorState{};
   }

@@ -578,6 +578,9 @@ WireMessage SessionServer::op_create(const WireMessage& request) {
   spec.checkpoint_every =
       request.get_int("checkpoint_every", spec.checkpoint_every);
   spec.keep = static_cast<int>(request.get_int("keep", spec.keep));
+  // A bad spec is the client's error (bad_request), refused before
+  // anything reaches the disk.
+  spec.validate();
 
   const std::string dir = (fs::path(config_.root) / spec.id).string();
   auto session = std::shared_ptr<Session>(

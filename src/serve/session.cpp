@@ -105,34 +105,40 @@ SessionSpec SessionSpec::parse(const std::string& json) {
   spec.checkpoint_every = msg.get_int("checkpoint_every",
                                       spec.checkpoint_every);
   spec.keep = static_cast<int>(msg.get_int("keep", spec.keep));
-  if (spec.cells < 2 || spec.cells > 64) {
-    throw ParseError("session: cells out of range [2, 64]");
+  spec.validate();
+  return spec;
+}
+
+void SessionSpec::validate() const {
+  if (cells < 3 || cells > 64) {
+    throw ParseError("session: cells out of range [3, 64]");
   }
-  if (spec.dt_fs <= 0.0) {
+  if (!(dt_fs > 0.0)) {
     throw ParseError("session: dt_fs must be positive");
   }
-  if (spec.threads < 1) {
+  if (threads < 1) {
     throw ParseError("session: threads must be >= 1");
   }
-  if (spec.checkpoint_every < 1) {
+  if (checkpoint_every < 1) {
     throw ParseError("session: checkpoint_every must be >= 1");
+  }
+  if (keep < 1) {
+    throw ParseError("session: keep must be >= 1");
   }
   // Reject unusable strategy codes at admission, not deep inside
   // materialize(): a client built against a newer ladder may send a code
-  // this server has never heard of.
+  // this server has never heard of, and a retired code decodes to nothing.
   const std::optional<ReductionStrategy> strat =
-      StrategyGovernor::try_strategy_from_code(spec.strategy_code);
+      StrategyGovernor::try_strategy_from_code(strategy_code);
   if (!strat) {
     throw ParseError("session: unknown strategy_code " +
-                     std::to_string(spec.strategy_code));
+                     std::to_string(strategy_code));
   }
-  if (spec.governed && !StrategyGovernor::on_ladder(*strat)) {
+  if (governed && !StrategyGovernor::on_ladder(*strat)) {
     throw ParseError("session: strategy_code " +
-                     std::to_string(spec.strategy_code) +
-                     " (" + to_string(*strat) +
-                     ") is not a governor ladder rung");
+                     std::to_string(strategy_code) + " (" +
+                     to_string(*strat) + ") is not a governor ladder rung");
   }
-  return spec;
 }
 
 const char* to_string(SessionState state) {
@@ -157,13 +163,14 @@ std::unique_ptr<Session> Session::create(SessionSpec spec,
                                          const SessionPolicy& policy) {
   std::unique_ptr<Session> session(
       new Session(std::move(spec), dir_path, policy));
-  write_spec_atomic(session->dir_.file_path(kSpecName),
-                    session->spec_.to_json() + "\n");
   std::lock_guard<std::mutex> lock(session->mutex_);
   session->materialize(std::nullopt);
   // The initial ring generation: a SIGKILL at any later moment finds a
   // resume point, even before the first cadence checkpoint.
   session->supervisor_->checkpoint_now();
+  // The descriptor goes last: fleet resume skips a directory without one.
+  write_spec_atomic(session->dir_.file_path(kSpecName),
+                    session->spec_.to_json() + "\n");
   session->state_ = SessionState::Paused;
   return session;
 }
@@ -396,17 +403,9 @@ void Session::quarantine(const std::string& reason) {
     // Demote one rung before the final checkpoint so the sidecar records
     // the demoted strategy: the session resumes on cheaper, safer footing.
     GovernorState state = sim_->governor()->state();
-    constexpr auto& ladder = StrategyGovernor::kLadder;
-    constexpr int rungs = static_cast<int>(std::size(ladder));
-    int index = rungs - 1;
-    for (int i = 0; i < rungs; ++i) {
-      if (ladder[i] == state.active) {
-        index = i;
-        break;
-      }
-    }
-    if (index + 1 < rungs) {
-      state.active = ladder[index + 1];
+    const ReductionStrategy below = StrategyGovernor::rung_below(state.active);
+    if (below != state.active) {
+      state.active = below;
       ++state.demotions;
       sim_->set_governor(governor_config(), state);
     }

@@ -62,8 +62,14 @@ struct SessionSpec {
   std::uint64_t config_hash() const;
 
   std::string to_json() const;
-  /// Throws ParseError on malformed input or a schema mismatch.
+  /// Throws ParseError on malformed input, a schema mismatch, or a spec
+  /// that validate() refuses.
   static SessionSpec parse(const std::string& json);
+  /// Throws ParseError unless every field is usable: cells in [3, 64]
+  /// (a 2-cell iron box is below the cell list's 2 x range floor),
+  /// positive dt, threads, checkpoint cadence and ring size, and a
+  /// strategy code this build knows (a ladder rung when governed).
+  void validate() const;
 };
 
 enum class SessionState { Running, Paused, Suspended, Quarantined };
@@ -121,8 +127,11 @@ struct QuantumResult {
 
 class Session {
  public:
-  /// Fresh session: builds the lattice, writes session.json, and commits
-  /// the initial ring generation so a kill at any later moment can resume.
+  /// Fresh session: builds the lattice, commits the initial ring
+  /// generation, then writes session.json. A directory holds a descriptor
+  /// only once it holds a resume point, so a create that fails leaves
+  /// nothing a restarted server would try to resume. `spec` must pass
+  /// SessionSpec::validate(), which the server's create op runs first.
   static std::unique_ptr<Session> create(SessionSpec spec,
                                          const std::string& dir_path,
                                          const SessionPolicy& policy);

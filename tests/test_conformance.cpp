@@ -34,7 +34,6 @@
 #include "common/threads.hpp"
 #include "common/units.hpp"
 #include "core/alloy_force.hpp"
-#include "core/cell_task_schedule.hpp"
 #include "core/eam_force.hpp"
 #include "core/pair_force.hpp"
 #include "core/sdc_schedule.hpp"
@@ -185,8 +184,6 @@ bool feasible(ReductionStrategy s, const Box& box, double range) {
   switch (s) {
     case ReductionStrategy::Sdc:
       return SdcSchedule::feasible(box, range, SdcConfig{});
-    case ReductionStrategy::CellTask:
-      return CellTaskSchedule::feasible(box, range);
     default:
       return true;
   }

@@ -18,7 +18,6 @@
 #include "common/random.hpp"
 #include "common/units.hpp"
 #include "core/alloy_force.hpp"
-#include "core/cell_task_schedule.hpp"
 #include "core/pair_force.hpp"
 #include "core/sdc_schedule.hpp"
 #include "geom/lattice.hpp"
@@ -243,7 +242,6 @@ TEST(EamForce, VirtualFallbackMatchesInlineBodiesBitwise) {
       TabulatedEam::from_analytic(w.potential, 2000, 2000, 60.0);
   const double range = w.potential.cutoff() + kSkin;
   ASSERT_TRUE(SdcSchedule::feasible(w.box, range, SdcConfig{}));
-  ASSERT_TRUE(CellTaskSchedule::feasible(w.box, range));
   const int saved_threads = omp_get_max_threads();
   omp_set_num_threads(1);
   for (const EamPotential* inner :
@@ -427,6 +425,75 @@ TEST(EamForce, SdcWithoutScheduleThrows) {
   EXPECT_THROW(
       computer.compute(w.box, w.positions, *w.half, rho, fp, force),
       PreconditionError);
+}
+
+TEST(EamForce, RetiredAndModeChangingStrategiesAreRefused) {
+  // No shape remains for the retired CellTask value: every computer
+  // refuses it at construction, and set_strategy refuses it as it refuses
+  // a swap that would change the neighbor-list mode, before touching the
+  // running strategy.
+  Workload w(6);
+  EamForceConfig retired;
+  retired.strategy = ReductionStrategy::CellTask;
+  EXPECT_THROW(EamForceComputer(w.potential, retired), PreconditionError);
+  const LennardJones lj(0.1, 2.2, w.potential.cutoff());
+  PairForceConfig pair_retired;
+  pair_retired.strategy = ReductionStrategy::CellTask;
+  EXPECT_THROW(PairForceComputer(lj, pair_retired), PreconditionError);
+  const SingleSpeciesAlloy alloy(w.potential, units::kMassFe, "Fe");
+  AlloyForceConfig alloy_retired;
+  alloy_retired.strategy = ReductionStrategy::CellTask;
+  EXPECT_THROW(AlloyForceComputer(alloy, alloy_retired), PreconditionError);
+
+  EamForceConfig cfg;
+  cfg.strategy = ReductionStrategy::Sdc;
+  EamForceComputer computer(w.potential, cfg);
+  computer.attach_schedule(w.box, w.potential.cutoff() + kSkin);
+  computer.on_neighbor_rebuild(w.positions);
+  for (ReductionStrategy refused :
+       {ReductionStrategy::CellTask, ReductionStrategy::RedundantComputation}) {
+    EXPECT_THROW(computer.set_strategy(refused), PreconditionError)
+        << to_string(refused);
+    EXPECT_EQ(computer.config().strategy, ReductionStrategy::Sdc);
+  }
+  std::vector<double> rho(w.positions.size()), fp(w.positions.size());
+  std::vector<Vec3> force(w.positions.size());
+  EXPECT_NO_THROW(
+      computer.compute(w.box, w.positions, *w.half, rho, fp, force));
+}
+
+TEST(EamForce, HotSwapFromSdcAndBackMatchesSerial) {
+  // The governor's ladder moves on one computer: SDC -> SAP drops the SDC
+  // schedule, and the pair cache carries over; back to SDC re-attaches it.
+  Workload w(6);
+  const Workload::Output serial = w.run(ReductionStrategy::Serial);
+  EamForceConfig cfg;
+  cfg.strategy = ReductionStrategy::Sdc;
+  cfg.sdc.dimensionality = 2;
+  EamForceComputer computer(w.potential, cfg);
+  const auto compute = [&] {
+    Workload::Output out;
+    out.rho.resize(w.positions.size());
+    out.fp.resize(w.positions.size());
+    out.force.resize(w.positions.size());
+    out.result = computer.compute(w.box, w.positions, *w.half, out.rho,
+                                  out.fp, out.force);
+    return out;
+  };
+  computer.attach_schedule(w.box, w.potential.cutoff() + kSkin);
+  computer.on_neighbor_rebuild(w.positions);
+  expect_outputs_match(serial, compute(), 1e-12);
+
+  computer.set_strategy(ReductionStrategy::ArrayPrivatization);
+  EXPECT_EQ(computer.schedule(), nullptr);
+  expect_outputs_match(serial, compute(), 1e-12);
+
+  computer.set_strategy(ReductionStrategy::Sdc);
+  EXPECT_THROW(compute(), PreconditionError);  // schedule not re-attached
+  computer.attach_schedule(w.box, w.potential.cutoff() + kSkin);
+  computer.on_neighbor_rebuild(w.positions);
+  ASSERT_NE(computer.schedule(), nullptr);
+  expect_outputs_match(serial, compute(), 1e-12);
 }
 
 TEST(EamForce, EveryComputerRefusesAListBuiltForAnotherBox) {

@@ -109,32 +109,28 @@ TEST(PairForce, WrongModeThrows) {
                PreconditionError);
 }
 
-TEST(PairForce, ScheduledStrategiesRequireSchedule) {
+TEST(PairForce, SdcRequiresSchedule) {
   Workload w;
-  for (ReductionStrategy s :
-       {ReductionStrategy::Sdc, ReductionStrategy::CellTask}) {
-    PairForceConfig cfg;
-    cfg.strategy = s;
-    PairForceComputer computer(w.potential, cfg);
-    std::vector<Vec3> force(w.positions.size());
-    EXPECT_THROW(computer.compute(w.box, w.positions, *w.half, force),
-                 PreconditionError)
-        << to_string(s);
-  }
+  PairForceConfig cfg;
+  cfg.strategy = ReductionStrategy::Sdc;
+  PairForceComputer computer(w.potential, cfg);
+  std::vector<Vec3> force(w.positions.size());
+  EXPECT_THROW(computer.compute(w.box, w.positions, *w.half, force),
+               PreconditionError);
 }
 
 TEST(PairForce, HotSwapsAlongTheGovernorLadder) {
-  // The pair backend runs the governor's whole ladder, CellTask included:
-  // swap Sdc -> CellTask -> SAP and back, re-attaching schedules the way
-  // Simulation does, and match Serial at every rung.
+  // The pair backend runs the governor's whole ladder: swap Sdc -> SAP ->
+  // LockStriped and back, re-attaching schedules the way Simulation does,
+  // and match Serial at every rung.
   Workload w;
   const auto [f_serial, r_serial] = w.run(ReductionStrategy::Serial);
   PairForceConfig cfg;
   cfg.strategy = ReductionStrategy::Sdc;
   PairForceComputer computer(w.potential, cfg);
   for (ReductionStrategy s :
-       {ReductionStrategy::Sdc, ReductionStrategy::CellTask,
-        ReductionStrategy::ArrayPrivatization, ReductionStrategy::Sdc}) {
+       {ReductionStrategy::Sdc, ReductionStrategy::ArrayPrivatization,
+        ReductionStrategy::LockStriped, ReductionStrategy::Sdc}) {
     computer.set_strategy(s);
     computer.attach_schedule(w.box, w.potential.cutoff() + kSkin);
     computer.on_neighbor_rebuild(w.positions);

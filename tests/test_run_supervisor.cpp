@@ -147,41 +147,47 @@ TEST_F(RunSupervisorTest, RunStateParseErrorsCarryByteOffsets) {
                ParseError);
 }
 
-TEST_F(RunSupervisorTest, RunStateCellTaskRungRoundTrips) {
-  // The newest ladder rung's code (celltask = 7) must survive the sidecar.
+TEST_F(RunSupervisorTest, RunStateDemotedSapRungRoundTrips) {
+  // A demoted rung (sap = 4) must survive the sidecar.
   RunState state;
   state.step = 42;
   state.dt = 0.5;
   state.has_governor = true;
-  state.governor.active = ReductionStrategy::CellTask;
+  state.governor.active = ReductionStrategy::ArrayPrivatization;
   state.governor.demotions = 1;
   state.governor.backoff = 2;
   const RunState back = parse_run_state(to_json(state));
   ASSERT_TRUE(back.has_governor);
-  EXPECT_EQ(back.governor.active, ReductionStrategy::CellTask);
+  EXPECT_EQ(back.governor.active, ReductionStrategy::ArrayPrivatization);
   EXPECT_EQ(back.governor.demotions, 1);
   EXPECT_EQ(back.governor.backoff, 2);
 }
 
 TEST_F(RunSupervisorTest, UnknownGovernorCodeDropsGovernorKeepsSidecar) {
   // A sidecar written by a NEWER ladder carries a strategy code this build
-  // does not know. The old behavior threw, which made the resume machinery
-  // discard the whole sidecar; the contract is to drop only the governor
-  // block (fresh setup on resume) and keep every other restored field.
-  const std::string json =
-      "{\"schema\": \"sdcmd.run_state.v1\", \"step\": 77, \"dt\": 0.5, "
-      "\"total_energy\": -12.25, \"momentum_zeroed\": true, "
-      "\"checkpoint_file\": \"ckpt_0000000077.chk\", "
-      "\"governor\": true, \"governor_strategy\": 99, "
-      "\"governor_demotions\": 3, \"governor_backoff\": 4}";
-  const RunState back = parse_run_state(json);
-  EXPECT_FALSE(back.has_governor);
-  EXPECT_EQ(back.governor.demotions, 0);  // reset, not half-restored
-  EXPECT_EQ(back.step, 77);
-  EXPECT_EQ(back.dt, 0.5);
-  EXPECT_EQ(back.total_energy, -12.25);
-  EXPECT_TRUE(back.momentum_zeroed);
-  EXPECT_EQ(back.checkpoint_file, "ckpt_0000000077.chk");
+  // does not know, and one written before CellTask retired carries its
+  // code 7, which decodes to nothing now. The old behavior threw, which
+  // made the resume machinery discard the whole sidecar; the contract is
+  // to drop only the governor block (fresh setup on resume) and keep
+  // every other restored field.
+  for (const char* code : {"99", "7"}) {
+    SCOPED_TRACE(code);
+    const std::string json =
+        std::string("{\"schema\": \"sdcmd.run_state.v1\", \"step\": 77, "
+                    "\"dt\": 0.5, \"total_energy\": -12.25, "
+                    "\"momentum_zeroed\": true, "
+                    "\"checkpoint_file\": \"ckpt_0000000077.chk\", "
+                    "\"governor\": true, \"governor_strategy\": ") +
+        code + ", \"governor_demotions\": 3, \"governor_backoff\": 4}";
+    const RunState back = parse_run_state(json);
+    EXPECT_FALSE(back.has_governor);
+    EXPECT_EQ(back.governor.demotions, 0);  // reset, not half-restored
+    EXPECT_EQ(back.step, 77);
+    EXPECT_EQ(back.dt, 0.5);
+    EXPECT_EQ(back.total_energy, -12.25);
+    EXPECT_TRUE(back.momentum_zeroed);
+    EXPECT_EQ(back.checkpoint_file, "ckpt_0000000077.chk");
+  }
 }
 
 TEST_F(RunSupervisorTest, OffLadderGovernorCodeIsAlsoRejected) {

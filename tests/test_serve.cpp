@@ -13,6 +13,8 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/log.hpp"
+#include "core/strategy.hpp"
+#include "core/strategy_governor.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -188,6 +190,20 @@ TEST_F(ServeTest, SessionSpecParseRejectsBadValues) {
                    "{\"schema\": \"sdcmd.session.v1\", \"id\": \"x\", "
                    "\"checkpoint_every\": 0}"),
                ParseError);
+  // validate() holds the checks parse() runs, so a spec built in code is
+  // refused the same way.
+  const auto refused = [](auto edit) {
+    SessionSpec bad;
+    bad.id = "x";
+    edit(bad);
+    EXPECT_THROW(bad.validate(), ParseError);
+  };
+  refused([](SessionSpec& b) { b.cells = 2; });  // below 2 x range
+  refused([](SessionSpec& b) { b.keep = 0; });
+  refused([](SessionSpec& b) { b.threads = 0; });
+  refused([](SessionSpec& b) { b.strategy_code = 7; });  // retired CellTask
+  refused([](SessionSpec& b) { b.strategy_code = 1; });  // governed critical
+  EXPECT_NO_THROW(spec.validate());
 }
 
 // ------------------------------------------------------------------ session
@@ -272,6 +288,7 @@ TEST_F(ServeTest, OomFaultQuarantinesAndResumeRecovers) {
   spec.cells = 3;
   SessionPolicy policy;
   std::unique_ptr<Session> session = Session::create(spec, dir, policy);
+  const std::string started_on = session->status().strategy;
 
   FaultSpec fault;
   fault.shots = 1;
@@ -284,10 +301,14 @@ TEST_F(ServeTest, OomFaultQuarantinesAndResumeRecovers) {
   EXPECT_EQ(session->status().quarantines, 1);
   EXPECT_THROW(session->enqueue_steps(1), Error);
 
-  // Quarantine released the Simulation but checkpointed first: resume
-  // restores a live session that can step again.
+  // Quarantine released the Simulation but checkpointed first, one rung
+  // down: resume restores a live session on that rung that can step again.
   session->resume();
   EXPECT_EQ(session->state(), SessionState::Paused);
+  EXPECT_EQ(session->status().strategy,
+            to_string(StrategyGovernor::rung_below(
+                parse_strategy(started_on))));
+  EXPECT_NE(session->status().strategy, started_on);
   session->enqueue_steps(5);
   EXPECT_GT(session->run_quantum().steps_done, 0);
 }
@@ -401,6 +422,57 @@ TEST_F(ServeTest, ServerEndToEndWithAdmissionControl) {
 
   EXPECT_TRUE(client.request_op("drain").get_bool("ok", false));
   EXPECT_EQ(server.wait(), SessionServer::Outcome::Drained);
+}
+
+TEST_F(ServeTest, RefusedCreateLeavesNothingOnDisk) {
+  // A spec the server cannot run is the client's error: each create below
+  // replies bad_request before anything reaches the disk, so a server
+  // restarted on the same root finds nothing to resume and nothing that
+  // fails to.
+  const std::string dir = scratch_dir("refused_create");
+  ServerConfig config;
+  config.socket_path = dir + "/sv.sock";
+  config.root = dir + "/sessions";
+  config.workers = 1;
+  struct Bad {
+    const char* id;
+    const char* key;
+    std::int64_t value;
+  };
+  const Bad bad[] = {
+      {"cells2", "cells", 2},          {"dt0", "dt_fs", 0},
+      {"threads0", "threads", 0},      {"ckpt0", "checkpoint_every", 0},
+      {"keep0", "keep", 0},            {"code99", "strategy", 99},
+      {"code7", "strategy", 7},        {"critical", "strategy", 1},
+  };
+  {
+    SessionServer server(config);
+    server.start();
+    ClientConfig ccfg;
+    ccfg.socket_path = config.socket_path;
+    ServeClient client(ccfg);
+    for (const Bad& b : bad) {
+      WireMessage create;
+      create.set("op", "create");
+      create.set("id", b.id);
+      create.set("cells", 3);
+      create.set("governed", true);
+      create.set(b.key, b.value);
+      const WireMessage r = client.request(create);
+      EXPECT_FALSE(r.get_bool("ok", true)) << b.id;
+      EXPECT_EQ(r.get_string("code"), "bad_request") << r.serialize();
+      EXPECT_FALSE(fs::exists(fs::path(config.root) / b.id / "session.json"))
+          << b.id;
+    }
+    ASSERT_TRUE(client.request_op("drain").get_bool("ok", false));
+    EXPECT_EQ(server.wait(), SessionServer::Outcome::Drained);
+  }
+  SessionServer restarted(config);
+  restarted.start();
+  EXPECT_EQ(restarted.resumed_sessions(), 0);
+  EXPECT_EQ(restarted.failed_resumes(), 0);
+  restarted.drain();
+  EXPECT_EQ(restarted.wait(), SessionServer::Outcome::Drained);
 }
 
 TEST_F(ServeTest, StepRepliesAddUpToTheStepTheBudgetDrainsAt) {

@@ -28,6 +28,10 @@ TEST(Strategy, ParsesAliases) {
 TEST(Strategy, RejectsUnknownNames) {
   EXPECT_THROW(parse_strategy("mpi"), PreconditionError);
   EXPECT_THROW(parse_strategy(""), PreconditionError);
+  // The retired block-task shape has no name left.
+  for (const char* retired : {"celltask", "cell-task", "task"}) {
+    EXPECT_THROW(parse_strategy(retired), PreconditionError) << retired;
+  }
 }
 
 TEST(Strategy, RequiredModeFullOnlyForRc) {
@@ -37,12 +41,6 @@ TEST(Strategy, RequiredModeFullOnlyForRc) {
     } else {
       EXPECT_EQ(required_mode(s), NeighborMode::Half);
     }
-  }
-}
-
-TEST(Strategy, OnlySerialIsNotParallel) {
-  for (ReductionStrategy s : kAllStrategies) {
-    EXPECT_EQ(is_parallel(s), s != ReductionStrategy::Serial);
   }
 }
 

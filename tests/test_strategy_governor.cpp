@@ -82,35 +82,18 @@ TEST_F(GovernorTest, SetupSelectsPreferredWhenFeasible) {
 
 TEST_F(GovernorTest, SetupFallsDownLadderWhenSdcInfeasible) {
   StrategyGovernor gov(GovernorConfig{});
-  // < 4 * range: no 2-way SDC split, but floor(10/4) = 2 blocks per axis
-  // still gives the cell-task shape 8 blocks.
+  // < 4 * range: no 2-way SDC split, so SAP, the next rung, takes over.
   const Box box = Box::cubic(10.0);
   const GovernorDecision d = gov.setup(box, 4.0, 4, 1000);
-  EXPECT_EQ(d.strategy, ReductionStrategy::CellTask);
-  EXPECT_EQ(gov.active(), ReductionStrategy::CellTask);
-}
-
-TEST_F(GovernorTest, CellTaskRungInfeasibleOnlyBelowOneBlockPair) {
-  // CellTask needs >= 2 blocks total, not SDC's even split per axis: a
-  // 10 x 4 x 4 slab splits 2 x 1 x 1 and stays on the rung...
-  StrategyGovernor gov(GovernorConfig{});
-  const Box slab({0.0, 0.0, 0.0}, {10.0, 4.0, 4.0});
-  EXPECT_TRUE(gov.rung_feasible(ReductionStrategy::CellTask, slab, 4.0, 4,
-                                1000));
-  // ...while a box under the range in every dimension yields one block and
-  // falls through.
-  const Box tiny = Box::cubic(3.0);
-  EXPECT_FALSE(gov.rung_feasible(ReductionStrategy::CellTask, tiny, 4.0, 4,
-                                 1000));
-  EXPECT_EQ(gov.setup(tiny, 4.0, 4, 1000).strategy,
-            ReductionStrategy::ArrayPrivatization);
+  EXPECT_EQ(d.strategy, ReductionStrategy::ArrayPrivatization);
+  EXPECT_EQ(gov.active(), ReductionStrategy::ArrayPrivatization);
 }
 
 TEST_F(GovernorTest, SapBudgetSkipsToLockStriped) {
   GovernorConfig cfg;
   // 4 threads x 1000 atoms x (8 + 24) bytes = 128 kB replicas; budget 1 kB.
-  // The box is under the range in every dimension, so SDC and CellTask are
-  // both infeasible and the blown budget is what decides the rung.
+  // The box is under the range in every dimension, so SDC is infeasible
+  // and the blown budget is what decides the rung.
   cfg.max_private_bytes = 1024;
   StrategyGovernor gov(cfg);
   const GovernorDecision d = gov.setup(Box::cubic(3.0), 4.0, 4, 1000);
@@ -128,7 +111,7 @@ TEST_F(GovernorTest, BoxChangeDemotesAndStepPromotesWithHysteresis) {
 
   const GovernorDecision demote = gov.on_box_change(small, 4.0, 4, 1000);
   EXPECT_EQ(demote.event, GovernorEvent::Demotion);
-  EXPECT_EQ(demote.strategy, ReductionStrategy::CellTask);
+  EXPECT_EQ(demote.strategy, ReductionStrategy::ArrayPrivatization);
   EXPECT_EQ(gov.demotions(), 1);
   // One demotion doubled the backoff: 3 * 2 = 6 feasible steps required.
   EXPECT_EQ(gov.required_streak(), 6);
@@ -198,12 +181,11 @@ TEST_F(GovernorTest, ShadowMismatchDemotesOneRung) {
 
   const GovernorDecision d = gov.on_shadow_mismatch("test mismatch");
   EXPECT_EQ(d.event, GovernorEvent::Demotion);
-  EXPECT_EQ(d.strategy, ReductionStrategy::CellTask);
+  EXPECT_EQ(d.strategy, ReductionStrategy::ArrayPrivatization);
   EXPECT_EQ(gov.race_suspects(), 1);
 
-  // Again and again: walks the whole ladder (CellTask -> SAP -> Locks ->
-  // Atomic -> Serial), then sticks at Serial.
-  gov.on_shadow_mismatch("again");
+  // Again and again: walks the whole ladder (SAP -> Locks -> Atomic ->
+  // Serial), then sticks at Serial.
   gov.on_shadow_mismatch("again");
   gov.on_shadow_mismatch("again");
   EXPECT_EQ(gov.on_shadow_mismatch("again").strategy,
@@ -212,20 +194,32 @@ TEST_F(GovernorTest, ShadowMismatchDemotesOneRung) {
   EXPECT_EQ(gov.active(), ReductionStrategy::Serial);
 }
 
+TEST_F(GovernorTest, RungBelowWalksTheLadderAndStopsAtSerial) {
+  using S = ReductionStrategy;
+  EXPECT_EQ(StrategyGovernor::rung_below(S::Sdc), S::ArrayPrivatization);
+  EXPECT_EQ(StrategyGovernor::rung_below(S::ArrayPrivatization),
+            S::LockStriped);
+  EXPECT_EQ(StrategyGovernor::rung_below(S::LockStriped), S::Atomic);
+  EXPECT_EQ(StrategyGovernor::rung_below(S::Atomic), S::Serial);
+  EXPECT_EQ(StrategyGovernor::rung_below(S::Serial), S::Serial);
+  EXPECT_THROW(StrategyGovernor::rung_below(S::RedundantComputation),
+               PreconditionError);
+}
+
 TEST_F(GovernorTest, RestoredStateKeepsDemotedRungAcrossSetup) {
   GovernorConfig cfg;
   StrategyGovernor first(cfg);
   const Box big = Box::cubic(40.0);
   first.setup(big, 4.0, 4, 1000);
   first.on_box_change(Box::cubic(10.0), 4.0, 4, 1000);
-  ASSERT_EQ(first.active(), ReductionStrategy::CellTask);
+  ASSERT_EQ(first.active(), ReductionStrategy::ArrayPrivatization);
 
   StrategyGovernor second(cfg);
   second.restore_state(first.state());
   // The box recovered, but the restored governor must NOT jump straight
   // back to SDC: promotion stays hysteretic across restarts.
   const GovernorDecision d = second.setup(big, 4.0, 4, 1000);
-  EXPECT_EQ(d.strategy, ReductionStrategy::CellTask);
+  EXPECT_EQ(d.strategy, ReductionStrategy::ArrayPrivatization);
   EXPECT_EQ(d.event, GovernorEvent::None);
   EXPECT_EQ(second.demotions(), 1);
   EXPECT_EQ(second.required_streak(), first.required_streak());
@@ -241,13 +235,19 @@ TEST_F(GovernorTest, RestoredRungInfeasibleForRestoredBoxDemotes) {
   second.restore_state(first.state());
   const GovernorDecision d = second.setup(Box::cubic(10.0), 4.0, 4, 1000);
   EXPECT_EQ(d.event, GovernorEvent::Demotion);
-  EXPECT_EQ(d.strategy, ReductionStrategy::CellTask);
+  EXPECT_EQ(d.strategy, ReductionStrategy::ArrayPrivatization);
 }
 
 TEST_F(GovernorTest, ConfigValidation) {
   GovernorConfig bad;
   bad.preferred = ReductionStrategy::RedundantComputation;  // not on ladder
   EXPECT_THROW(StrategyGovernor{bad}, PreconditionError);
+  bad.preferred = ReductionStrategy::CellTask;  // retired
+  EXPECT_THROW(StrategyGovernor{bad}, PreconditionError);
+  GovernorState retired;
+  retired.active = ReductionStrategy::CellTask;
+  StrategyGovernor gov(GovernorConfig{});
+  EXPECT_THROW(gov.restore_state(retired), PreconditionError);
   GovernorConfig zero;
   zero.promote_streak = 0;
   EXPECT_THROW(StrategyGovernor{zero}, PreconditionError);
@@ -271,13 +271,16 @@ TEST_F(GovernorTest, StrategyCodesAreStable) {
 
 TEST_F(GovernorTest, UnknownStrategyCodeIsRejectedNotMisdecoded) {
   // A sidecar written by a NEWER ladder can carry a code this build has
-  // never heard of; the decode must fail loudly (or softly via the
-  // try_ variant), never alias onto a known rung.
-  for (int code = 0; code <= 7; ++code) {
+  // never heard of, and an older one the retired CellTask's 7; the decode
+  // must fail loudly (or softly via the try_ variant), never alias onto a
+  // known rung.
+  for (int code = 0; code <= 6; ++code) {
     const auto s = StrategyGovernor::try_strategy_from_code(code);
     ASSERT_TRUE(s.has_value()) << "code " << code;
     EXPECT_EQ(StrategyGovernor::strategy_code(*s), code);
   }
+  EXPECT_FALSE(StrategyGovernor::try_strategy_from_code(7).has_value());
+  EXPECT_THROW(StrategyGovernor::strategy_from_code(7), PreconditionError);
   EXPECT_FALSE(StrategyGovernor::try_strategy_from_code(8).has_value());
   EXPECT_FALSE(StrategyGovernor::try_strategy_from_code(99).has_value());
   EXPECT_FALSE(StrategyGovernor::try_strategy_from_code(-1).has_value());
@@ -308,20 +311,18 @@ TEST_F(GovernorTest, BoxShrinkFaultTriggersExactlyOneDemotion) {
   EXPECT_EQ(sim.current_step(), 20);
   EXPECT_EQ(FaultInjector::instance().fire_count(faults::kBoxShrink), 1);
   EXPECT_EQ(sim.governor()->demotions(), 1);
-  EXPECT_EQ(sim.governor()->active(), ReductionStrategy::CellTask);
+  EXPECT_EQ(sim.governor()->active(), ReductionStrategy::ArrayPrivatization);
   // Metrics + trace carry the event.
   EXPECT_EQ(registry.value(registry.counter("governor.demotions")), 1.0);
   EXPECT_EQ(registry.value(registry.gauge("governor.active_strategy")),
-            StrategyGovernor::strategy_code(ReductionStrategy::CellTask));
-  // The demoted shape spawned block tasks and reported its queue shape.
-  EXPECT_GT(registry.value(registry.counter("task.spawned")), 0.0);
-  EXPECT_GE(registry.value(registry.gauge("task.max_queue_depth")), 1.0);
+            StrategyGovernor::strategy_code(
+                ReductionStrategy::ArrayPrivatization));
   EXPECT_NE(trace.to_json().find("governor.demote"), std::string::npos);
 }
 
-TEST_F(GovernorTest, PairBackendDemotesOntoCellTask) {
+TEST_F(GovernorTest, PairBackendDemotesOntoSap) {
   // The pair backend runs the whole ladder: the same SDC-breaking shrink
-  // lands it on CellTask, not on SAP, and the run carries on.
+  // lands it on SAP, and the run carries on.
   const LennardJones lj(0.1, 2.2, iron().cutoff());
   Simulation sim(make_system(kCells), lj, sdc_config());
   sim.set_governor(GovernorConfig{});
@@ -335,7 +336,7 @@ TEST_F(GovernorTest, PairBackendDemotesOntoCellTask) {
 
   EXPECT_EQ(sim.current_step(), 20);
   EXPECT_EQ(sim.governor()->demotions(), 1);
-  EXPECT_EQ(sim.governor()->active(), ReductionStrategy::CellTask);
+  EXPECT_EQ(sim.governor()->active(), ReductionStrategy::ArrayPrivatization);
   EXPECT_TRUE(std::isfinite(sim.sample().total_energy()));
 }
 
@@ -349,7 +350,7 @@ TEST_F(GovernorTest, DemotedForcesMatchSerialReference) {
   fault.magnitude = kShrink;
   FaultInjector::instance().arm(faults::kBoxShrink, fault);
   sim.run(10);
-  ASSERT_EQ(sim.governor()->active(), ReductionStrategy::CellTask);
+  ASSERT_EQ(sim.governor()->active(), ReductionStrategy::ArrayPrivatization);
 
   sim.compute_forces();
   const Atoms& atoms = sim.system().atoms();
@@ -417,17 +418,18 @@ TEST_F(GovernorTest, GovernorStateSurvivesCheckpointRestart) {
   FaultInjector::instance().arm(faults::kBoxShrink, fault);
   sim.run(10);
   FaultInjector::instance().disarm_all();
-  ASSERT_EQ(sim.governor()->active(), ReductionStrategy::CellTask);
+  ASSERT_EQ(sim.governor()->active(), ReductionStrategy::ArrayPrivatization);
 
   // "Restart": a new Simulation from the saved System + governor state.
   // The restart config carries the checkpointed (demoted) strategy — the
   // shrunk box would make an SDC constructor throw before the governor
   // could take over.
   SimulationConfig restart_cfg = sdc_config();
-  restart_cfg.force.strategy = ReductionStrategy::CellTask;
+  restart_cfg.force.strategy = ReductionStrategy::ArrayPrivatization;
   Simulation restarted(sim.system(), iron(), restart_cfg);
   restarted.set_governor(GovernorConfig{}, sim.governor()->state());
-  EXPECT_EQ(restarted.governor()->active(), ReductionStrategy::CellTask);
+  EXPECT_EQ(restarted.governor()->active(),
+            ReductionStrategy::ArrayPrivatization);
   EXPECT_EQ(restarted.governor()->demotions(), 1);
   EXPECT_EQ(restarted.governor()->required_streak(),
             sim.governor()->required_streak());
@@ -486,9 +488,8 @@ TEST_F(GovernorTest, SetupAndResumeBuildTheListOnce) {
 }
 
 TEST_F(GovernorTest, RunStateRoundTripRestoresDemotedRungAndBackoff) {
-  // The infeasible-SDC demotion lands on CellTask (the shrunk box still
-  // holds 3 x 3 x 3 cell blocks) and doubles the backoff: exactly the
-  // mid-ladder state a checkpoint must preserve.
+  // The infeasible-SDC demotion lands on SAP and doubles the backoff:
+  // exactly the mid-ladder state a checkpoint must preserve.
   const GovernorConfig config;
   Simulation sim(make_system(kCells), iron(), sdc_config());
   sim.set_governor(config);
@@ -498,7 +499,7 @@ TEST_F(GovernorTest, RunStateRoundTripRestoresDemotedRungAndBackoff) {
   FaultInjector::instance().arm(faults::kBoxShrink, fault);
   sim.run(10);
   FaultInjector::instance().disarm_all();
-  ASSERT_EQ(sim.governor()->active(), ReductionStrategy::CellTask);
+  ASSERT_EQ(sim.governor()->active(), ReductionStrategy::ArrayPrivatization);
   ASSERT_GT(sim.governor()->required_streak(), config.promote_streak);
 
   // Persist through the run_state.v1 sidecar, the way the run supervisor
@@ -517,7 +518,8 @@ TEST_F(GovernorTest, RunStateRoundTripRestoresDemotedRungAndBackoff) {
   restarted.set_governor(config, back.governor);
   restarted.set_current_step(back.step);
   EXPECT_EQ(restarted.current_step(), sim.current_step());
-  EXPECT_EQ(restarted.governor()->active(), ReductionStrategy::CellTask);
+  EXPECT_EQ(restarted.governor()->active(),
+            ReductionStrategy::ArrayPrivatization);
   EXPECT_EQ(restarted.governor()->demotions(),
             sim.governor()->demotions());
   EXPECT_EQ(restarted.governor()->required_streak(),
