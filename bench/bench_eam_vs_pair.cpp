@@ -56,7 +56,7 @@ int main() {
     list.build(positions);
 
     // Pair potential: one computational phase.
-    PairForceConfig pair_cfg;
+    EamForceConfig pair_cfg;
     pair_cfg.strategy = ReductionStrategy::Serial;
     PairForceComputer pair_computer(lj, pair_cfg);
     std::vector<Vec3> force(n);

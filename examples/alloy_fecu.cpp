@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   NeighborList list(box, nl_cfg);
   list.build(positions);
 
-  AlloyForceConfig force_cfg;
+  EamForceConfig force_cfg;
   force_cfg.strategy = ReductionStrategy::Sdc;
   force_cfg.sdc.dimensionality = SpatialDecomposition::
       max_feasible_dimensionality(box, alloy.cutoff() + skin);

@@ -51,13 +51,8 @@ void PerAtomStress::compute(const Box& box, std::span<const Vec3> positions,
                             std::vector<StressTensor>& out,
                             const SdcSchedule* schedule) const {
   const std::size_t n = positions.size();
-  SDCMD_REQUIRE(list.mode() == NeighborMode::Half,
-                "per-atom stress needs a half neighbor list");
-  SDCMD_REQUIRE(list.atom_count() == n, "neighbor list is stale");
-  SDCMD_REQUIRE(list.cutoff() >= potential_.cutoff(),
-                "neighbor list cutoff shorter than the potential range");
-  SDCMD_REQUIRE(list.built_for(box),
-                "neighbor list was built for another box");
+  // Its scatter loop walks a half list, as the force phase does.
+  require_list(box, list, n, NeighborMode::Half, potential_.cutoff());
   SDCMD_REQUIRE(fp.size() == n, "fp array must match the atom count");
   SDCMD_REQUIRE(velocities.empty() || velocities.size() == n,
                 "velocities must be empty or match the atom count");

@@ -20,7 +20,7 @@
 //  * EmbedRow - phase 2, per atom, no scatter.
 //
 // Force rows accumulate the pair energy and virial of every pair they
-// visit; on a full list the caller halves the totals.
+// visit; on a full list the engine halves the summed totals.
 //
 // The scalar rows are templates on the potential type `Pot` they evaluate
 // through. The caller picks it once per force call with visit_eam
@@ -40,12 +40,6 @@
 #include "potential/potential.hpp"
 
 namespace sdcmd::detail {
-
-/// Profiler phase indices (match the phase names EamForceComputer
-/// configures its profiler with).
-inline constexpr int kProfPhaseDensity = 0;
-inline constexpr int kProfPhaseEmbed = 1;
-inline constexpr int kProfPhaseForce = 2;
 
 /// Borrowed per-pair cache storage, indexed by CSR slot.
 struct PairCacheRefs {

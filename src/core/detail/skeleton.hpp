@@ -3,7 +3,8 @@
 //
 // A scatter phase is three independent choices, each written once:
 //
-//  * row body   - the per-atom physics (eam_kernels.hpp, pair_force.cpp):
+//  * row body   - the per-atom physics (eam_kernels.hpp, pair_force.cpp,
+//                 alloy_force.cpp):
 //                 `body(i, s)` walks atom i's neighbor row, hands each
 //                 pair's j-side contribution to the protection with
 //                 `s.add(j, v)` (skipped when S::kScatters is false) and
@@ -17,8 +18,10 @@
 //                 a static sweep over rows, the SDC color sweep, or SAP
 //                 replicas plus merge.
 //
-// ReductionEngine maps a ReductionStrategy to its (shape, protection) pair
-// and owns the schedule and scratch that pair needs. Shapes are orphaned
+// ReductionEngine (core/reduction_engine.hpp) maps a ReductionStrategy to
+// its (shape, protection) pair, owns the schedule and scratch that pair
+// needs, and runs a call's phases in one region; its templates are defined
+// at the end of this file. Shapes are orphaned
 // OpenMP team code: every thread of the caller's parallel region calls
 // them, and each ends at a barrier, so its output is complete on return.
 // Outside a region they run as a team of one (the serial reference).
@@ -40,8 +43,10 @@
 #include "common/timer.hpp"
 #include "common/vec3.hpp"
 #include "core/lock_pool.hpp"
+#include "core/reduction_engine.hpp"
 #include "core/sdc_schedule.hpp"
 #include "core/strategy.hpp"
+#include "obs/perf_counters.hpp"
 #include "obs/sweep_profile.hpp"
 
 namespace sdcmd::detail {
@@ -195,111 +200,155 @@ void replica_sweep(std::vector<std::vector<T>>& priv, std::size_t n, T* out,
   }
 }
 
-// --- strategy -> (shape, protection) ----------------------------------------
-
-/// A force computer's reduction strategy plus the schedule and scratch its
-/// shape needs: the SDC schedule, the striped lock pool, and the SAP
-/// replicas. Shared by the EAM, pair and alloy computers.
-class ReductionEngine {
- public:
-  /// Throws PreconditionError for a retired strategy (one not in
-  /// kAllStrategies): no shape or protection remains for it.
-  ReductionEngine(ReductionStrategy strategy, SdcConfig sdc);
-  ~ReductionEngine();
-
-  ReductionStrategy strategy() const { return strategy_; }
-
-  /// Build the SDC schedule (Sdc); a no-op otherwise.
-  void attach_schedule(const Box& box, double interaction_range);
-  /// Re-partition atoms after a neighbor-list rebuild (Sdc).
-  void on_neighbor_rebuild(std::span<const Vec3> positions);
-  /// Swap strategies; drops the outgoing strategy's schedule. Throws
-  /// PreconditionError when the swap changes the neighbor-list mode or
-  /// names a retired strategy.
-  void set_strategy(ReductionStrategy strategy);
-  /// Throws PreconditionError unless the strategy's schedule is built for
-  /// `n` atoms. Call before the parallel region: shapes never throw.
-  void require_ready(std::size_t n) const;
-
-  /// Serial, before the region: size the per-thread state for a team of
-  /// `team` threads sweeping `n` atoms, and take the step's profiler
-  /// (null or enabled).
-  void begin(std::size_t n, int team, obs::SdcSweepProfiler* prof);
-
-  /// Inside the region: one scatter phase of `body` into `out`, under the
-  /// active strategy. `phase` indexes the profiler.
-  template <class T, class Body>
-  void run(int phase, T* out, Body& body) {
-    auto rows = [&body](auto& s) {
-      return [&body, &s](std::size_t i) { body(i, s); };
-    };
-    switch (strategy_) {
-      case ReductionStrategy::Serial: {
-        PlainScatter<T> s{out};
-        sweep(n_, prof_, phase, rows(s));
-        break;
-      }
-      case ReductionStrategy::Critical: {
-        CriticalScatter<T> s{out};
-        sweep(n_, prof_, phase, rows(s));
-        break;
-      }
-      case ReductionStrategy::Atomic: {
-        AtomicScatter<T> s{out};
-        sweep(n_, prof_, phase, rows(s));
-        break;
-      }
-      case ReductionStrategy::LockStriped: {
-        StripedLockScatter<T> s{out, stripes_.get()};
-        sweep(n_, prof_, phase, rows(s));
-        break;
-      }
-      case ReductionStrategy::RedundantComputation:
-        gather(phase, out, body);
-        break;
-      case ReductionStrategy::Sdc: {
-        PlainScatter<T> s{out};
-        color_sweep(schedule_->partition(), prof_, phase, rows(s));
-        break;
-      }
-      case ReductionStrategy::ArrayPrivatization:
-        replica_sweep(replicas<T>(), n_, out, body, prof_, phase);
-        break;
-      case ReductionStrategy::CellTask:
-        // Retired: the constructor and set_strategy refuse it.
-        break;
-    }
-  }
-
-  /// RC's shape for rows that only exist as full-list gathers.
-  template <class T, class Body>
-  void gather(int phase, T* out, Body& body) {
-    GatherScatter<T> s{out};
-    sweep(n_, prof_, phase, [&](std::size_t i) { body(i, s); });
-  }
-
-  const SdcSchedule* schedule() const { return schedule_.get(); }
-  /// Bytes held by SAP replicas (0 unless SAP has run).
-  std::size_t replica_bytes() const;
-
- private:
-  template <class T>
-  std::vector<std::vector<T>>& replicas() {
-    if constexpr (std::is_same_v<T, Vec3>) {
-      return sap_vec_;
-    } else {
-      return sap_scalar_;
-    }
-  }
-
-  ReductionStrategy strategy_;
-  SdcConfig sdc_;
-  std::unique_ptr<SdcSchedule> schedule_;
-  std::unique_ptr<LockPool> stripes_;
-  std::vector<std::vector<double>> sap_scalar_;
-  std::vector<std::vector<Vec3>> sap_vec_;
-  std::size_t n_ = 0;
-  obs::SdcSweepProfiler* prof_ = nullptr;
-};
+/// Profiler phase indices (match the phase names EamForceComputer
+/// configures its profilers with).
+inline constexpr int kProfPhaseDensity = 0;
+inline constexpr int kProfPhaseEmbed = 1;
+inline constexpr int kProfPhaseForce = 2;
 
 }  // namespace sdcmd::detail
+
+namespace sdcmd {
+
+// --- strategy -> (shape, protection) ----------------------------------------
+
+/// Inside the region: one scatter phase of `body` into `out`, under the
+/// active strategy. `phase` indexes the profiler.
+template <class T, class Body>
+void ReductionEngine::run(int phase, T* out, Body& body) {
+  using namespace detail;
+  auto rows = [&body](auto& s) {
+    return [&body, &s](std::size_t i) { body(i, s); };
+  };
+  switch (config_.strategy) {
+    case ReductionStrategy::Serial: {
+      PlainScatter<T> s{out};
+      sweep(n_, prof_, phase, rows(s));
+      break;
+    }
+    case ReductionStrategy::Critical: {
+      CriticalScatter<T> s{out};
+      sweep(n_, prof_, phase, rows(s));
+      break;
+    }
+    case ReductionStrategy::Atomic: {
+      AtomicScatter<T> s{out};
+      sweep(n_, prof_, phase, rows(s));
+      break;
+    }
+    case ReductionStrategy::LockStriped: {
+      StripedLockScatter<T> s{out, stripes_.get()};
+      sweep(n_, prof_, phase, rows(s));
+      break;
+    }
+    case ReductionStrategy::RedundantComputation:
+      gather(phase, out, body);
+      break;
+    case ReductionStrategy::Sdc: {
+      PlainScatter<T> s{out};
+      color_sweep(schedule_->partition(), prof_, phase, rows(s));
+      break;
+    }
+    case ReductionStrategy::ArrayPrivatization:
+      replica_sweep(replicas<T>(), n_, out, body, prof_, phase);
+      break;
+    case ReductionStrategy::CellTask:
+      // Retired: the constructor and set_strategy refuse it.
+      break;
+  }
+}
+
+/// RC's shape, alone for rows that only exist as full-list gathers.
+template <class T, class Body>
+void ReductionEngine::gather(int phase, T* out, Body& body) {
+  detail::GatherScatter<T> s{out};
+  detail::sweep(n_, prof_, phase, [&](std::size_t i) { body(i, s); });
+}
+
+template <class T>
+std::vector<std::vector<T>>& ReductionEngine::replicas() {
+  if constexpr (std::is_same_v<T, Vec3>) {
+    return sap_vec_;
+  } else {
+    return sap_scalar_;
+  }
+}
+
+// --- the one-region pipeline ------------------------------------------------
+
+// ONE parallel region covers zeroing and every phase, so a call pays a
+// single fork/join - the paper's "one parallel region per sweep" idea
+// extended to the whole call. Serial runs the same pipeline in a team of
+// one. Every phase ends at a barrier; the master clocks those boundaries
+// into the phase timers.
+template <bool kGatherOnly, class Density, class Embed, class Force>
+EamForceResult ReductionEngine::run_phases(
+    std::span<double> rho, std::span<double> fp, std::span<Vec3> force,
+    Density density_row, Embed embed_row, Force force_row,
+    obs::SdcSweepProfiler* prof, obs::PerfPhaseProfiler* hw) {
+  constexpr bool kEmbeds = !std::is_same_v<Density, NoRow>;
+  prof_ = prof;
+  auto phase = [this](int index, auto* out, auto& row) {
+    if constexpr (kGatherOnly) {
+      gather(index, out, row);
+    } else {
+      run(index, out, row);
+    }
+  };
+  const std::size_t n = n_;
+  int team = 1;
+  double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
+#pragma omp parallel num_threads(team_request_)
+  {
+    const int tid = omp_get_thread_num();
+    const auto slot = static_cast<std::size_t>(tid);
+    // Counter baselines are per-thread state, so unlike the master-only
+    // clock reads below, every thread takes its own reading.
+    if (hw != nullptr) hw->thread_begin(tid);
+#pragma omp master
+    {
+      team = omp_get_num_threads();
+      t0 = wall_time();
+    }
+    // First-touch zeroing with the same static split as the atom sweeps,
+    // so each page lands on the NUMA node of the thread that will process
+    // it.
+    detail::sweep(n, nullptr, 0, [&](std::size_t i) {
+      if constexpr (kEmbeds) {
+        rho[i] = 0.0;
+        fp[i] = 0.0;
+      }
+      force[i] = Vec3{};
+    });
+    if constexpr (kEmbeds) {
+      auto density = density_row;
+      phase(detail::kProfPhaseDensity, rho.data(), density);
+      if (hw != nullptr) hw->thread_mark(detail::kProfPhaseDensity, tid);
+#pragma omp master
+      t1 = wall_time();
+      auto embed = embed_row;
+      detail::sweep(n, prof, detail::kProfPhaseEmbed, embed);
+      embed_parts_[slot] = embed.energy;
+      if (hw != nullptr) hw->thread_mark(detail::kProfPhaseEmbed, tid);
+#pragma omp master
+      t2 = wall_time();
+    }
+    auto forces = force_row;
+    phase(detail::kProfPhaseForce, force.data(), forces);
+    pair_parts_[slot] = forces.energy;
+    virial_parts_[slot] = forces.virial;
+    if (hw != nullptr) hw->thread_mark(detail::kProfPhaseForce, tid);
+#pragma omp master
+    t3 = wall_time();
+  }
+  if constexpr (kEmbeds) {
+    timers_.slot(t_density_).add_lap(t1 - t0);  // includes the zeroing
+    timers_.slot(t_embed_).add_lap(t2 - t1);
+    timers_.slot(t_force_).add_lap(t3 - t2);
+  } else {
+    timers_.slot(t_force_).add_lap(t3 - t0);  // includes the zeroing
+  }
+  return sum(team);
+}
+
+}  // namespace sdcmd

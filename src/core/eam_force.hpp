@@ -8,8 +8,8 @@
 //                                                     [irregular reduction]
 // Phases 1 and 3 scatter through the half neighbor list (except under
 // RedundantComputation, which gathers through a full list), and each runs
-// under the strategy chosen at construction, through the shared kernel
-// skeleton (core/detail/skeleton.hpp). Per-phase wall time and exact
+// under the strategy chosen at construction, in the shell every force
+// computer shares (core/reduction_engine.hpp). Per-phase wall time and exact
 // work counters are recorded so benches can report both the paper's timings
 // and the mechanism-level evidence (RC doing 2x the pair visits, SAP's
 // thread-linear memory, ...).
@@ -18,26 +18,15 @@
 #include <cstddef>
 #include <memory>
 #include <span>
-#include <vector>
 
-#include "common/timer.hpp"
 #include "common/vec3.hpp"
-#include "core/sdc_schedule.hpp"
-#include "core/strategy.hpp"
+#include "core/reduction_engine.hpp"
 #include "neighbor/neighbor_list.hpp"
 #include "obs/perf_counters.hpp"
 #include "obs/sweep_profile.hpp"
 #include "potential/potential.hpp"
 
 namespace sdcmd {
-
-struct EamForceResult {
-  double pair_energy = 0.0;       ///< sum of V over pairs
-  double embedding_energy = 0.0;  ///< sum of F(rho_i)
-  double virial = 0.0;            ///< sum over pairs of r_ij . f_ij
-
-  double total_energy() const { return pair_energy + embedding_energy; }
-};
 
 /// Exact (not sampled) work accounting for one compute() call.
 struct EamKernelStats {
@@ -51,33 +40,12 @@ struct EamKernelStats {
   std::size_t pair_cache_bytes = 0;     ///< high-water pair-cache footprint
 };
 
-struct EamForceConfig {
-  ReductionStrategy strategy = ReductionStrategy::Sdc;
-  SdcConfig sdc;  ///< used when strategy == Sdc
-};
-
-namespace detail {
-class ReductionEngine;
-}
-
-class EamForceComputer {
+/// The schedule lifecycle, strategy swap, config() and timers() come from
+/// ReductionEngine.
+class EamForceComputer : public ReductionEngine {
  public:
   EamForceComputer(const EamPotential& potential, EamForceConfig config);
   ~EamForceComputer();
-
-  EamForceComputer(const EamForceComputer&) = delete;
-  EamForceComputer& operator=(const EamForceComputer&) = delete;
-
-  /// Build the strategy's spatial schedule for `box`: the SDC
-  /// decomposition/coloring under Sdc; a no-op otherwise. Required before
-  /// compute() under Sdc. `interaction_range` must be >= potential cutoff
-  /// + neighbor skin.
-  void attach_schedule(const Box& box, double interaction_range);
-
-  /// Re-partition atoms over subdomains; call after every neighbor-list
-  /// rebuild (the paper rebuilds SDC state exactly then). No-op for
-  /// unscheduled strategies.
-  void on_neighbor_rebuild(std::span<const Vec3> positions);
 
   /// Evaluate densities, embedding and forces. `list.mode()` must match
   /// required_mode(strategy). Outputs:
@@ -88,24 +56,8 @@ class EamForceComputer {
                          const NeighborList& list, std::span<double> rho,
                          std::span<double> fp, std::span<Vec3> force);
 
-  /// Hot-swap the reduction strategy mid-run (the StrategyGovernor's
-  /// degradation ladder). Allocates the new strategy's workspace (SAP
-  /// replicas, lock pool) on the next compute() and drops a stale SDC
-  /// schedule when leaving Sdc; the pair cache and fused one-region
-  /// pipeline carry over untouched. The caller must re-run attach_schedule
-  /// + on_neighbor_rebuild before the next compute() when swapping TO Sdc.
-  /// No-op when `strategy` is already active.
-  /// Throws PreconditionError on a swap that changes the required
-  /// neighbor-list mode (to or from RedundantComputation) - the ladder
-  /// never does that - and on a retired strategy, which the constructor
-  /// refuses too.
-  void set_strategy(ReductionStrategy strategy);
-
-  const EamForceConfig& config() const { return config_; }
   const EamPotential& potential() const { return potential_; }
 
-  /// Wall time per phase ("density", "embed", "force"), cumulative.
-  PhaseTimers& timers() { return timers_; }
   const EamKernelStats& stats() const { return stats_; }
   void reset_instrumentation();
 
@@ -126,9 +78,6 @@ class EamForceComputer {
   obs::PerfPhaseProfiler& hw_profiler() { return hw_profiler_; }
   const obs::PerfPhaseProfiler& hw_profiler() const { return hw_profiler_; }
 
-  /// The SDC schedule, or nullptr for non-SDC strategies.
-  const SdcSchedule* schedule() const;
-
   /// Single-threaded reference evaluation into caller-owned scratch, used
   /// by the governor's periodic shadow validation and the conformance
   /// suite: the uncached scalar rows, evaluating the potential through the
@@ -146,20 +95,7 @@ class EamForceComputer {
   struct PairCache;
 
   const EamPotential& potential_;
-  EamForceConfig config_;
-  std::unique_ptr<detail::ReductionEngine> engine_;
   std::unique_ptr<PairCache> cache_;
-  // Per-thread partial sums for the fused parallel pipeline (indexed by
-  // omp thread id; summed in thread order for deterministic totals).
-  std::vector<double> embed_parts_;
-  std::vector<double> energy_parts_;
-  std::vector<double> virial_parts_;
-  PhaseTimers timers_;
-  // Interned PhaseTimers handles: the per-step lap path never compares
-  // strings.
-  std::size_t t_density_;
-  std::size_t t_embed_;
-  std::size_t t_force_;
   EamKernelStats stats_;
   obs::SdcSweepProfiler profiler_;
   // Shape the profiler saw at its last configure(); compute() re-runs the

@@ -1,11 +1,8 @@
 #include "core/pair_force.hpp"
 
-#include <omp.h>
-
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/threads.hpp"
 #include "core/detail/skeleton.hpp"
 
 namespace sdcmd {
@@ -53,77 +50,20 @@ struct PairForceRow {
 }  // namespace
 
 PairForceComputer::PairForceComputer(const PairPotential& potential,
-                                     PairForceConfig config)
-    : potential_(potential),
-      config_(config),
-      engine_(std::make_unique<detail::ReductionEngine>(config.strategy,
-                                                        config.sdc)),
-      t_force_(timers_.index("force")) {}
+                                     EamForceConfig config)
+    : ReductionEngine(config, /*embeds=*/false), potential_(potential) {}
 
-PairForceComputer::~PairForceComputer() = default;
-
-void PairForceComputer::attach_schedule(const Box& box,
-                                        double interaction_range) {
-  engine_->attach_schedule(box, interaction_range);
-}
-
-void PairForceComputer::set_strategy(ReductionStrategy strategy) {
-  engine_->set_strategy(strategy);
-  config_.strategy = strategy;
-}
-
-void PairForceComputer::on_neighbor_rebuild(
-    std::span<const Vec3> positions) {
-  engine_->on_neighbor_rebuild(positions);
-}
-
-const SdcSchedule* PairForceComputer::schedule() const {
-  return engine_->schedule();
-}
-
-PairForceResult PairForceComputer::compute(const Box& box,
-                                           std::span<const Vec3> positions,
-                                           const NeighborList& list,
-                                           std::span<Vec3> force) {
+EamForceResult PairForceComputer::compute(const Box& box,
+                                          std::span<const Vec3> positions,
+                                          const NeighborList& list,
+                                          std::span<Vec3> force) {
   const std::size_t n = positions.size();
   SDCMD_REQUIRE(force.size() == n, "force array must match the atom count");
-  SDCMD_REQUIRE(list.atom_count() == n, "neighbor list is stale");
-  SDCMD_REQUIRE(list.mode() == required_mode(config_.strategy),
-                "neighbor list mode does not match the strategy");
-  SDCMD_REQUIRE(list.cutoff() >= potential_.cutoff(),
-                "neighbor list cutoff shorter than the potential range");
-  SDCMD_REQUIRE(list.built_for(box),
-                "neighbor list was built for another box");
-  engine_->require_ready(n);
-
+  prepare(box, list, n, potential_.cutoff());
   const double cutoff = potential_.cutoff();
-  const PairForceRow proto{positions, list, potential_, cutoff * cutoff};
-  const int team_request =
-      config_.strategy == ReductionStrategy::Serial ? 1 : max_threads();
-  energy_parts_.assign(static_cast<std::size_t>(team_request), 0.0);
-  virial_parts_.assign(static_cast<std::size_t>(team_request), 0.0);
-  engine_->begin(n, team_request, nullptr);
-  ScopedTimer timer(timers_.slot(t_force_));
-#pragma omp parallel num_threads(team_request)
-  {
-    detail::sweep(n, nullptr, 0, [&](std::size_t i) { force[i] = Vec3{}; });
-    PairForceRow row = proto;
-    engine_->run(0, force.data(), row);
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    energy_parts_[tid] = row.energy;
-    virial_parts_[tid] = row.virial;
-  }
-  // Thread-order sums; a full list visits every pair from both sides.
-  PairForceResult result;
-  for (std::size_t t = 0; t < energy_parts_.size(); ++t) {
-    result.energy += energy_parts_[t];
-    result.virial += virial_parts_[t];
-  }
-  if (list.mode() == NeighborMode::Full) {
-    result.energy *= 0.5;
-    result.virial *= 0.5;
-  }
-  return result;
+  return run_phases({}, {}, force, NoRow{}, NoRow{},
+                    PairForceRow{positions, list, potential_,
+                                 cutoff * cutoff});
 }
 
 }  // namespace sdcmd

@@ -4,10 +4,6 @@
 
 namespace sdcmd {
 
-EamForceProvider::EamForceProvider(const EamPotential& potential,
-                                   EamForceConfig config)
-    : computer_(potential, config) {}
-
 EamForceResult EamForceProvider::compute(const Box& box, Atoms& atoms,
                                          const NeighborList& list) {
   const EamForceResult result = computer_.compute(
@@ -16,19 +12,11 @@ EamForceResult EamForceProvider::compute(const Box& box, Atoms& atoms,
   return result;
 }
 
-PairForceProvider::PairForceProvider(const PairPotential& potential,
-                                     PairForceConfig config)
-    : potential_(potential), computer_(potential, config) {}
-
 EamForceResult PairForceProvider::compute(const Box& box, Atoms& atoms,
                                           const NeighborList& list) {
-  const PairForceResult pair =
+  const EamForceResult result =
       computer_.compute(box, atoms.position, list, atoms.force);
   faults::maybe_poison_forces(atoms.force);
-  EamForceResult result;
-  result.pair_energy = pair.energy;
-  result.embedding_energy = 0.0;
-  result.virial = pair.virial;
   return result;
 }
 

@@ -65,10 +65,14 @@ class ForceProvider {
   virtual std::optional<SdcConfig> sdc_config() const { return std::nullopt; }
 };
 
-/// EAM backend (the paper's workload).
-class EamForceProvider final : public ForceProvider {
+/// What the EAM and pair backends share: the computer's engine answers
+/// every lifecycle virtual.
+template <class Computer>
+class ComputerForceProvider : public ForceProvider {
  public:
-  EamForceProvider(const EamPotential& potential, EamForceConfig config);
+  template <class Potential>
+  ComputerForceProvider(const Potential& potential, EamForceConfig config)
+      : computer_(potential, config) {}
 
   double cutoff() const override { return computer_.potential().cutoff(); }
   NeighborMode required_mode() const override {
@@ -80,10 +84,7 @@ class EamForceProvider final : public ForceProvider {
   void on_neighbor_rebuild(std::span<const Vec3> positions) override {
     computer_.on_neighbor_rebuild(positions);
   }
-  EamForceResult compute(const Box& box, Atoms& atoms,
-                         const NeighborList& list) override;
   PhaseTimers& timers() override { return computer_.timers(); }
-  EamForceComputer* eam_computer() override { return &computer_; }
   std::optional<ReductionStrategy> strategy() const override {
     return computer_.config().strategy;
   }
@@ -95,42 +96,31 @@ class EamForceProvider final : public ForceProvider {
     return computer_.config().sdc;
   }
 
- private:
-  EamForceComputer computer_;
+ protected:
+  Computer computer_;
+};
+
+/// EAM backend (the paper's workload).
+class EamForceProvider final
+    : public ComputerForceProvider<EamForceComputer> {
+ public:
+  EamForceProvider(const EamPotential& potential, EamForceConfig config)
+      : ComputerForceProvider(potential, config) {}
+
+  EamForceResult compute(const Box& box, Atoms& atoms,
+                         const NeighborList& list) override;
+  EamForceComputer* eam_computer() override { return &computer_; }
 };
 
 /// Pair-potential backend (single computational phase).
-class PairForceProvider final : public ForceProvider {
+class PairForceProvider final
+    : public ComputerForceProvider<PairForceComputer> {
  public:
-  PairForceProvider(const PairPotential& potential, PairForceConfig config);
+  PairForceProvider(const PairPotential& potential, EamForceConfig config)
+      : ComputerForceProvider(potential, config) {}
 
-  double cutoff() const override { return potential_.cutoff(); }
-  NeighborMode required_mode() const override {
-    return sdcmd::required_mode(computer_.config().strategy);
-  }
-  void attach_schedule(const Box& box, double range) override {
-    computer_.attach_schedule(box, range);
-  }
-  void on_neighbor_rebuild(std::span<const Vec3> positions) override {
-    computer_.on_neighbor_rebuild(positions);
-  }
   EamForceResult compute(const Box& box, Atoms& atoms,
                          const NeighborList& list) override;
-  PhaseTimers& timers() override { return computer_.timers(); }
-  std::optional<ReductionStrategy> strategy() const override {
-    return computer_.config().strategy;
-  }
-  bool set_strategy(ReductionStrategy s) override {
-    computer_.set_strategy(s);
-    return true;
-  }
-  std::optional<SdcConfig> sdc_config() const override {
-    return computer_.config().sdc;
-  }
-
- private:
-  const PairPotential& potential_;
-  PairForceComputer computer_;
 };
 
 }  // namespace sdcmd

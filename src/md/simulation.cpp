@@ -32,9 +32,7 @@ Simulation::Simulation(System system, const EamPotential& potential,
 Simulation::Simulation(System system, const PairPotential& potential,
                        SimulationConfig config)
     : Simulation(std::move(system),
-                 std::make_unique<PairForceProvider>(
-                     potential,
-                     PairForceConfig{config.force.strategy, config.force.sdc}),
+                 std::make_unique<PairForceProvider>(potential, config.force),
                  config) {}
 
 Simulation::Simulation(System system,

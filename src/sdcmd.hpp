@@ -67,6 +67,7 @@
 #include "core/lock_pool.hpp"
 #include "core/pair_force.hpp"
 #include "core/race_check.hpp"
+#include "core/reduction_engine.hpp"
 #include "core/sdc_schedule.hpp"
 #include "core/strategy.hpp"
 

@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/log.hpp"
+#include "common/threads.hpp"
 #include "common/timer.hpp"
 
 namespace fs = std::filesystem;
@@ -567,20 +568,11 @@ WireMessage SessionServer::op_create(const WireMessage& request) {
       return make_error("exists", "session '" + spec.id + "' already exists");
     }
   }
-  spec.cells = static_cast<int>(request.get_int("cells", spec.cells));
-  spec.temp = request.get_double("temp", spec.temp);
-  spec.seed = request.get_int("seed", spec.seed);
-  spec.dt_fs = request.get_double("dt_fs", spec.dt_fs);
-  spec.governed = request.get_bool("governed", spec.governed);
-  spec.strategy_code =
-      static_cast<int>(request.get_int("strategy", spec.strategy_code));
-  spec.threads = static_cast<int>(request.get_int("threads", spec.threads));
-  spec.checkpoint_every =
-      request.get_int("checkpoint_every", spec.checkpoint_every);
-  spec.keep = static_cast<int>(request.get_int("keep", spec.keep));
+  spec.read(request, "strategy");
   // A bad spec is the client's error (bad_request), refused before
-  // anything reaches the disk.
-  spec.validate();
+  // anything reaches the disk. A new session gets no more threads than
+  // the host has.
+  spec.validate(hardware_threads());
 
   const std::string dir = (fs::path(config_.root) / spec.id).string();
   auto session = std::shared_ptr<Session>(

@@ -1,5 +1,6 @@
 #include "serve/session.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -94,30 +95,43 @@ SessionSpec SessionSpec::parse(const std::string& json) {
   }
   SessionSpec spec;
   spec.id = msg.require_string("id");
-  spec.cells = static_cast<int>(msg.get_int("cells", spec.cells));
-  spec.temp = msg.get_double("temp", spec.temp);
-  spec.seed = static_cast<long>(msg.get_int("seed", spec.seed));
-  spec.dt_fs = msg.get_double("dt_fs", spec.dt_fs);
-  spec.governed = msg.get_bool("governed", spec.governed);
-  spec.strategy_code =
-      static_cast<int>(msg.get_int("strategy_code", spec.strategy_code));
-  spec.threads = static_cast<int>(msg.get_int("threads", spec.threads));
-  spec.checkpoint_every = msg.get_int("checkpoint_every",
-                                      spec.checkpoint_every);
-  spec.keep = static_cast<int>(msg.get_int("keep", spec.keep));
+  spec.read(msg, "strategy_code");
   spec.validate();
   return spec;
 }
 
-void SessionSpec::validate() const {
+void SessionSpec::read(const WireMessage& msg,
+                       const std::string& strategy_key) {
+  const auto read_int = [&msg](const std::string& key, int& field) {
+    const JsonValue* v = msg.find(key);
+    if (v == nullptr || !v->is_number()) return;
+    try {
+      field = v->as_int32();
+    } catch (const ParseError& e) {
+      throw ParseError("session: " + key + ": " + e.what());
+    }
+  };
+  read_int("cells", cells);
+  temp = msg.get_double("temp", temp);
+  seed = msg.get_int("seed", seed);
+  dt_fs = msg.get_double("dt_fs", dt_fs);
+  governed = msg.get_bool("governed", governed);
+  read_int(strategy_key, strategy_code);
+  read_int("threads", threads);
+  checkpoint_every = msg.get_int("checkpoint_every", checkpoint_every);
+  read_int("keep", keep);
+}
+
+void SessionSpec::validate(int max_threads) const {
   if (cells < 3 || cells > 64) {
     throw ParseError("session: cells out of range [3, 64]");
   }
   if (!(dt_fs > 0.0)) {
     throw ParseError("session: dt_fs must be positive");
   }
-  if (threads < 1) {
-    throw ParseError("session: threads must be >= 1");
+  if (threads < 1 || threads > max_threads) {
+    throw ParseError("session: threads out of range [1, " +
+                     std::to_string(max_threads) + "]");
   }
   if (checkpoint_every < 1) {
     throw ParseError("session: checkpoint_every must be >= 1");
@@ -427,8 +441,9 @@ QuantumResult Session::run_quantum() {
   const long quantum = std::min(pending_, policy_.quantum_steps);
   // Size this worker's OpenMP team for the session: many small sessions
   // share the machine as workers × threads, never oversubscribing it with
-  // one team per live session.
-  set_threads(spec_.threads);
+  // one team per live session. A spec from a larger host is held to this
+  // one's cores.
+  set_threads(std::min(spec_.threads, hardware_threads()));
   const double t0 = wall_time();
   try {
     if (FaultInjector::instance().should_fire(faults::kServeSessionOom)) {

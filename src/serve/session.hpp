@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -36,6 +37,8 @@
 #include "run/supervisor.hpp"
 
 namespace sdcmd::serve {
+
+class WireMessage;
 
 /// Everything needed to rebuild a session's Simulation from scratch.
 /// Persisted as `session.json` (schema sdcmd.session.v1, flat JSON) in the
@@ -65,11 +68,21 @@ struct SessionSpec {
   /// Throws ParseError on malformed input, a schema mismatch, or a spec
   /// that validate() refuses.
   static SessionSpec parse(const std::string& json);
+  /// Read every field but `id` from a flat JSON message, keeping the
+  /// current value where a member is missing. The strategy's key is the
+  /// one name that differs: "strategy_code" in session.json, "strategy"
+  /// in a create request. Throws ParseError for an integer outside its
+  /// field's range instead of wrapping it.
+  void read(const WireMessage& msg, const std::string& strategy_key);
   /// Throws ParseError unless every field is usable: cells in [3, 64]
   /// (a 2-cell iron box is below the cell list's 2 x range floor),
-  /// positive dt, threads, checkpoint cadence and ring size, and a
-  /// strategy code this build knows (a ladder rung when governed).
-  void validate() const;
+  /// positive dt, checkpoint cadence and ring size, threads in
+  /// [1, max_threads], and a strategy code this build knows (a ladder rung
+  /// when governed). A create holds a new session to the host
+  /// (max_threads = hardware_threads()); a spec read back from disk is not
+  /// held to it, so a session.json from a larger host still resumes
+  /// (run_quantum never asks OpenMP for more than hardware_threads()).
+  void validate(int max_threads = std::numeric_limits<int>::max()) const;
 };
 
 enum class SessionState { Running, Paused, Suspended, Quarantined };

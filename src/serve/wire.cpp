@@ -7,9 +7,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -19,57 +16,9 @@
 namespace sdcmd::serve {
 
 // ---------------------------------------------------------------------------
-// WireValue
-
-const std::string& WireValue::as_string() const {
-  if (type_ != Type::String) {
-    throw ParseError("wire: value is not a string");
-  }
-  return string_;
-}
-
-bool WireValue::as_bool() const {
-  if (type_ != Type::Bool) {
-    throw ParseError("wire: value is not a bool");
-  }
-  return bool_;
-}
-
-std::int64_t WireValue::as_int() const {
-  if (type_ == Type::Int) return int_;
-  if (type_ == Type::Double) {
-    // Guard the cast: int64-overflowing (or NaN) doubles are UB under
-    // static_cast, not a clamp. Bounds are the exactly-representable
-    // ±2^63; the comparison is false for NaN too.
-    if (!(double_ >= -9223372036854775808.0 &&
-          double_ < 9223372036854775808.0)) {
-      throw ParseError("wire: number out of int64 range");
-    }
-    return static_cast<std::int64_t>(double_);
-  }
-  throw ParseError("wire: value is not a number");
-}
-
-double WireValue::as_double() const {
-  if (type_ == Type::Double) return double_;
-  if (type_ == Type::Int) return static_cast<double>(int_);
-  throw ParseError("wire: value is not a number");
-}
-
-void WireValue::append_json(std::string& out) const {
-  switch (type_) {
-    case Type::Null: out += "null"; return;
-    case Type::Bool: out += bool_ ? "true" : "false"; return;
-    case Type::Int: out += std::to_string(int_); return;
-    case Type::Double: obs::append_json_number(out, double_); return;
-    case Type::String: obs::append_json_string(out, string_); return;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // WireMessage
 
-void WireMessage::set(const std::string& key, WireValue value) {
+void WireMessage::set(const std::string& key, JsonValue value) {
   for (auto& member : members_) {
     if (member.first == key) {
       member.second = std::move(value);
@@ -79,7 +28,7 @@ void WireMessage::set(const std::string& key, WireValue value) {
   members_.emplace_back(key, std::move(value));
 }
 
-const WireValue* WireMessage::find(const std::string& key) const {
+const JsonValue* WireMessage::find(const std::string& key) const {
   for (const auto& member : members_) {
     if (member.first == key) return &member.second;
   }
@@ -88,29 +37,29 @@ const WireValue* WireMessage::find(const std::string& key) const {
 
 std::string WireMessage::get_string(const std::string& key,
                                     const std::string& fallback) const {
-  const WireValue* v = find(key);
+  const JsonValue* v = find(key);
   return v != nullptr && v->is_string() ? v->as_string() : fallback;
 }
 
 std::int64_t WireMessage::get_int(const std::string& key,
                                   std::int64_t fallback) const {
-  const WireValue* v = find(key);
+  const JsonValue* v = find(key);
   return v != nullptr && v->is_number() ? v->as_int() : fallback;
 }
 
 double WireMessage::get_double(const std::string& key,
                                double fallback) const {
-  const WireValue* v = find(key);
+  const JsonValue* v = find(key);
   return v != nullptr && v->is_number() ? v->as_double() : fallback;
 }
 
 bool WireMessage::get_bool(const std::string& key, bool fallback) const {
-  const WireValue* v = find(key);
+  const JsonValue* v = find(key);
   return v != nullptr && v->is_bool() ? v->as_bool() : fallback;
 }
 
 std::string WireMessage::require_string(const std::string& key) const {
-  const WireValue* v = find(key);
+  const JsonValue* v = find(key);
   if (v == nullptr || !v->is_string()) {
     throw ParseError("wire: missing required string member '" + key + "'");
   }
@@ -118,7 +67,7 @@ std::string WireMessage::require_string(const std::string& key) const {
 }
 
 std::int64_t WireMessage::require_int(const std::string& key) const {
-  const WireValue* v = find(key);
+  const JsonValue* v = find(key);
   if (v == nullptr || !v->is_number()) {
     throw ParseError("wire: missing required numeric member '" + key + "'");
   }
@@ -133,198 +82,31 @@ std::string WireMessage::serialize() const {
     first = false;
     obs::append_json_string(out, key);
     out += ':';
-    value.append_json(out);
+    value.append_to(out);
   }
   out += '}';
   return out;
 }
 
-namespace {
-
-/// Flat-object JSON parser for control lines: the serve twin of the
-/// run_state.v1 parser, with the same "scalars only" contract. Nested
-/// containers are a protocol violation, not a missing feature.
-class FlatParser {
- public:
-  explicit FlatParser(const std::string& text) : text_(text) {}
-
-  WireMessage parse() {
-    WireMessage msg;
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      finish();
-      return msg;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      msg.set(key, parse_value());
-      skip_ws();
-      const char c = next();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}' after member");
-    }
-    finish();
-    return msg;
-  }
-
- private:
-  WireValue parse_value() {
-    const char c = peek();
-    if (c == '"') return WireValue(parse_string());
-    if (c == 't' || c == 'f') return WireValue(parse_bool());
-    if (c == 'n') {
-      if (text_.compare(pos_, 4, "null") != 0) fail("expected null");
-      pos_ += 4;
-      return WireValue();
-    }
-    if (c == '{' || c == '[') {
-      fail("nested containers are not part of the wire protocol");
-    }
-    return parse_number();
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: fail("unsupported escape in wire string");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  WireValue parse_number() {
-    // A sign is only legal up front or right after an exponent marker;
-    // strtoll/strtod below do the rest of the validation (the scanner
-    // only has to find where the token ends).
-    const std::size_t start = pos_;
-    bool integral = true;
-    if (peek() == '-' || peek() == '+') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.') {
-        integral = false;
-        ++pos_;
-      } else if (c == 'e' || c == 'E') {
-        integral = false;
-        ++pos_;
-        if (pos_ < text_.size() &&
-            (text_[pos_] == '-' || text_[pos_] == '+')) {
-          ++pos_;
-        }
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) fail("expected a value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    errno = 0;
-    if (integral) {
-      const long long value = std::strtoll(token.c_str(), &end, 10);
-      if (end != token.c_str() + token.size() || end == token.c_str()) {
-        fail("malformed number '" + token + "'");
-      }
-      if (errno == ERANGE) {
-        fail("integer out of int64 range: '" + token + "'");
-      }
-      return WireValue(static_cast<std::int64_t>(value));
-    }
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || end == token.c_str()) {
-      fail("malformed number '" + token + "'");
-    }
-    if (errno == ERANGE && (value == HUGE_VAL || value == -HUGE_VAL)) {
-      fail("number out of double range: '" + token + "'");
-    }
-    return WireValue(value);
-  }
-
-  bool parse_bool() {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected true/false");
-    return false;  // unreachable
-  }
-
-  void finish() {
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing bytes after message");
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  char next() {
-    if (pos_ >= text_.size()) fail("unexpected end of message");
-    return text_[pos_++];
-  }
-  void expect(char c) {
-    if (next() != c) {
-      --pos_;
-      fail(std::string("expected '") + c + "'");
-    }
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw ParseError("wire: " + why + " (byte " + std::to_string(pos_) +
-                     " of " + std::to_string(text_.size()) + ")");
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 WireMessage WireMessage::parse(const std::string& line) {
-  return FlatParser(line).parse();
+  WireMessage msg;
+  for (auto& [key, value] : obs::parse_flat_object(line, "wire")) {
+    msg.set(key, std::move(value));
+  }
+  return msg;
 }
 
 WireMessage make_ok() {
   WireMessage msg;
-  msg.set("ok", WireValue(true));
+  msg.set("ok", JsonValue(true));
   return msg;
 }
 
 WireMessage make_error(const std::string& code, const std::string& message) {
   WireMessage msg;
-  msg.set("ok", WireValue(false));
-  msg.set("code", WireValue(code));
-  msg.set("error", WireValue(message));
+  msg.set("ok", JsonValue(false));
+  msg.set("code", JsonValue(code));
+  msg.set("error", JsonValue(message));
   return msg;
 }
 

@@ -3,8 +3,9 @@
 //
 // A control message is one JSON object per line whose values are scalars
 // (string / integer / double / bool / null) — the same shape as the
-// run_state.v1 sidecar, so the whole protocol stays greppable and the
-// chaos tooling can speak it with python's json module:
+// run_state.v1 sidecar, read by the same parser (obs::parse_flat_object),
+// so the whole protocol stays greppable and the chaos tooling can speak it
+// with python's json module:
 //
 //   {"op": "step", "id": "s0", "steps": 100}\n
 //   {"ok": true, "id": "s0", "step": 400, "pending": 100}\n
@@ -24,44 +25,12 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace sdcmd::serve {
 
-/// Tagged scalar carried by a control message member.
-class WireValue {
- public:
-  WireValue() : type_(Type::Null) {}
-  WireValue(bool b) : type_(Type::Bool), bool_(b) {}
-  WireValue(double d) : type_(Type::Double), double_(d) {}
-  WireValue(std::int64_t i) : type_(Type::Int), int_(i) {}
-  WireValue(int i) : WireValue(static_cast<std::int64_t>(i)) {}
-  WireValue(std::string s) : type_(Type::String), string_(std::move(s)) {}
-  WireValue(const char* s) : WireValue(std::string(s)) {}
-
-  bool is_null() const { return type_ == Type::Null; }
-  bool is_string() const { return type_ == Type::String; }
-  bool is_bool() const { return type_ == Type::Bool; }
-  bool is_number() const {
-    return type_ == Type::Int || type_ == Type::Double;
-  }
-
-  /// Typed accessors; numeric ones coerce between Int and Double. Throw
-  /// ParseError on a type mismatch.
-  const std::string& as_string() const;
-  bool as_bool() const;
-  std::int64_t as_int() const;
-  double as_double() const;
-
-  /// JSON text of this value appended to `out`.
-  void append_json(std::string& out) const;
-
- private:
-  enum class Type { Null, Bool, Int, Double, String };
-  Type type_;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-};
+/// A control message member: the library's tagged JSON scalar.
+using obs::JsonValue;
 
 /// One flat-JSON control message (request or response). Member order is
 /// preserved on serialization so responses stay stable to diff.
@@ -70,10 +39,10 @@ class WireMessage {
   WireMessage() = default;
 
   /// Set (or replace) a member.
-  void set(const std::string& key, WireValue value);
+  void set(const std::string& key, JsonValue value);
 
   bool has(const std::string& key) const { return find(key) != nullptr; }
-  const WireValue* find(const std::string& key) const;
+  const JsonValue* find(const std::string& key) const;
 
   /// Accessors with defaults (missing member => the default) and required
   /// accessors (missing member => ParseError naming the key).
@@ -92,12 +61,12 @@ class WireMessage {
   /// malformed input (nested containers are malformed by design).
   static WireMessage parse(const std::string& line);
 
-  const std::vector<std::pair<std::string, WireValue>>& members() const {
+  const std::vector<std::pair<std::string, JsonValue>>& members() const {
     return members_;
   }
 
  private:
-  std::vector<std::pair<std::string, WireValue>> members_;
+  std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
 /// Canonical response helpers.

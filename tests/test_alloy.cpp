@@ -138,11 +138,11 @@ struct AlloyWorkload {
   struct Output {
     std::vector<double> rho, fp;
     std::vector<Vec3> force;
-    AlloyForceResult result;
+    EamForceResult result;
   };
 
   Output run(const AlloyEamPotential& pot, ReductionStrategy strategy) {
-    AlloyForceConfig cfg;
+    EamForceConfig cfg;
     cfg.strategy = strategy;
     cfg.sdc.dimensionality = 2;
     AlloyForceComputer computer(pot, cfg);
@@ -238,29 +238,15 @@ TEST(AlloyForce, ForceMatchesEnergyGradient) {
 }
 
 TEST(AlloyForce, RejectsBadInput) {
+  // The list contract is the shared table test (ListContract in
+  // test_eam_force); what is the alloy's own is the species check.
   const auto alloy = fecu();
   AlloyWorkload w(alloy, 8, 0.2);
   std::vector<double> rho(w.positions.size()), fp(w.positions.size());
   std::vector<Vec3> force(w.positions.size());
-  AlloyForceConfig cfg;
-  cfg.strategy = ReductionStrategy::RedundantComputation;
-  AlloyForceComputer gather(alloy, cfg);
-  EXPECT_THROW(gather.compute(w.box, w.positions, w.types, *w.list, rho, fp,
-                              force),
-               PreconditionError)
-      << "RC gathers over a full list; a half list must be refused";
-
+  EamForceConfig cfg;
   cfg.strategy = ReductionStrategy::Serial;
   AlloyForceComputer computer(alloy, cfg);
-  NeighborListConfig short_cfg;
-  short_cfg.cutoff = alloy.cutoff() - 1.0;
-  short_cfg.skin = 0.3;  // range still below the cutoff: pairs would drop
-  NeighborList short_list(w.box, short_cfg);
-  short_list.build(w.positions);
-  EXPECT_THROW(computer.compute(w.box, w.positions, w.types, short_list, rho,
-                                fp, force),
-               PreconditionError);
-
   w.types[0] = 7;  // out of range
   EXPECT_THROW(computer.compute(w.box, w.positions, w.types, *w.list, rho,
                                 fp, force),

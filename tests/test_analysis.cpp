@@ -212,42 +212,6 @@ TEST_F(StressFixture, KineticTermAddsIdealGasPressure) {
   EXPECT_NEAR(d_hydro, expected, 1e-6 * std::abs(expected));
 }
 
-TEST_F(StressFixture, RejectsAStaleList) {
-  PerAtomStress stress(iron);
-  std::vector<StressTensor> tensors;
-  const std::vector<Vec3>& all = system.atoms().position;
-  const std::vector<double>& fp = system.atoms().fp;
-  // The list holds more atoms than the call: its rows name j past the end.
-  const std::vector<Vec3> fewer(all.begin(), all.end() - 2);
-  const std::vector<double> fp_fewer(fp.begin(), fp.end() - 2);
-  EXPECT_THROW(stress.compute(system.box(), fewer, {}, system.mass(), *list,
-                              fp_fewer, tensors),
-               PreconditionError);
-  // The list holds fewer atoms than the call: it has no row for the rest.
-  NeighborListConfig nl;
-  nl.cutoff = iron.cutoff();
-  nl.skin = 0.4;
-  NeighborList small(system.box(), nl);
-  small.build(fewer);
-  EXPECT_THROW(stress.compute(system.box(), all, {}, system.mass(), small, fp,
-                              tensors),
-               PreconditionError);
-}
-
-TEST_F(StressFixture, RejectsAListShorterThanThePotential) {
-  NeighborListConfig nl;
-  nl.cutoff = iron.cutoff() - 1.0;
-  nl.skin = 0.4;
-  NeighborList short_list(system.box(), nl);
-  short_list.build(system.atoms().position);
-  PerAtomStress stress(iron);
-  std::vector<StressTensor> tensors;
-  EXPECT_THROW(stress.compute(system.box(), system.atoms().position, {},
-                              system.mass(), short_list, system.atoms().fp,
-                              tensors),
-               PreconditionError);
-}
-
 TEST(StressTensor, VonMisesOfPureShear) {
   StressTensor t;
   t.xy = 1.0;

@@ -228,20 +228,15 @@ const EamPotential& eam_potential(Pot p) {
 }
 
 /// Outputs of one three-phase (EAM or alloy) force call.
-template <class Result>
 struct PhaseOut {
   std::vector<double> rho, fp;
   std::vector<Vec3> force;
-  Result result;
+  EamForceResult result;
 
   explicit PhaseOut(std::size_t n) : rho(n), fp(n), force(n) {}
 };
-using EamOut = PhaseOut<EamForceResult>;
-using AlloyOut = PhaseOut<AlloyForceResult>;
 
-template <class Result>
-void expect_eam_match(const PhaseOut<Result>& ref,
-                      const PhaseOut<Result>& got) {
+void expect_eam_match(const PhaseOut& ref, const PhaseOut& got) {
   ASSERT_EQ(ref.rho.size(), got.rho.size());
   for (std::size_t i = 0; i < ref.rho.size(); ++i) {
     EXPECT_NEAR(ref.rho[i], got.rho[i], kTol) << "rho, atom " << i;
@@ -254,8 +249,7 @@ void expect_eam_match(const PhaseOut<Result>& ref,
   expect_close_rel(ref.result.virial, got.result.virial, "virial");
 }
 
-template <class Result>
-void expect_bitwise(const PhaseOut<Result>& a, const PhaseOut<Result>& b) {
+void expect_bitwise(const PhaseOut& a, const PhaseOut& b) {
   for (std::size_t i = 0; i < a.rho.size(); ++i) {
     EXPECT_EQ(a.rho[i], b.rho[i]) << "rho, atom " << i;
     EXPECT_EQ(a.force[i].x, b.force[i].x) << "force.x, atom " << i;
@@ -287,20 +281,20 @@ TEST_P(EamConformance, MatchesSerialReference) {
   const auto list = make_list(g, pot.cutoff(), required_mode(strategy));
   const auto half = make_list(g, pot.cutoff(), NeighborMode::Half);
 
-  EamOut ref(n);
+  PhaseOut ref(n);
   ref.result = computer.compute_serial_reference(g.box, g.positions, *half,
                                                  ref.rho, ref.fp, ref.force);
 
   const ThreadScope scope(resolve_threads(threads));
   computer.attach_schedule(g.box, range);
   computer.on_neighbor_rebuild(g.positions);
-  EamOut got(n);
+  PhaseOut got(n);
   got.result = computer.compute(g.box, g.positions, *list, got.rho, got.fp,
                                 got.force);
   expect_eam_match(ref, got);
 
   if (strategy == ReductionStrategy::Sdc) {
-    EamOut again(n);
+    PhaseOut again(n);
     again.result = computer.compute(g.box, g.positions, *list, again.rho,
                                     again.fp, again.force);
     expect_bitwise(got, again);
@@ -333,12 +327,12 @@ const LennardJones& pair_potential() {
 
 struct PairOut {
   std::vector<Vec3> force;
-  PairForceResult result;
+  EamForceResult result;
 };
 
 PairOut run_pair(ReductionStrategy strategy, const Geometry& g) {
   const PairPotential& pot = pair_potential();
-  PairForceConfig cfg;
+  EamForceConfig cfg;
   cfg.strategy = strategy;
   PairForceComputer computer(pot, cfg);
   computer.attach_schedule(g.box, pot.cutoff() + kSkin);
@@ -371,7 +365,7 @@ TEST_P(PairConformance, MatchesSerialStrategy) {
   const ThreadScope scope(resolve_threads(threads));
   const PairOut got = run_pair(strategy, g);
   expect_forces_match(ref.force, got.force);
-  expect_close_rel(ref.result.energy, got.result.energy, "energy");
+  expect_close_rel(ref.result.pair_energy, got.result.pair_energy, "energy");
   expect_close_rel(ref.result.virial, got.result.virial, "virial");
 }
 
@@ -409,16 +403,16 @@ struct AlloyRun {
   std::unique_ptr<NeighborList> list;
 
   AlloyRun(ReductionStrategy strategy, const Geometry& g)
-      : computer(alloy_potential(), AlloyForceConfig{strategy, SdcConfig{}}),
+      : computer(alloy_potential(), EamForceConfig{strategy, SdcConfig{}}),
         list(make_list(g, alloy_potential().cutoff(),
                        required_mode(strategy))) {
     computer.attach_schedule(g.box, alloy_potential().cutoff() + kSkin);
     computer.on_neighbor_rebuild(g.positions);
   }
 
-  AlloyOut compute(const Geometry& g,
+  PhaseOut compute(const Geometry& g,
                    const std::vector<std::uint8_t>& types) {
-    AlloyOut out(g.positions.size());
+    PhaseOut out(g.positions.size());
     out.result = computer.compute(g.box, g.positions, types, *list, out.rho,
                                   out.fp, out.force);
     return out;
@@ -434,10 +428,10 @@ TEST_P(AlloyConformance, MatchesSerialStrategy) {
     GTEST_SKIP() << to_string(strategy) << " infeasible for this box";
   }
   const auto types = alloy_types(g.positions.size());
-  const AlloyOut ref = AlloyRun(ReductionStrategy::Serial, g).compute(g, types);
+  const PhaseOut ref = AlloyRun(ReductionStrategy::Serial, g).compute(g, types);
   const ThreadScope scope(resolve_threads(threads));
   AlloyRun run(strategy, g);
-  const AlloyOut got = run.compute(g, types);
+  const PhaseOut got = run.compute(g, types);
   expect_eam_match(ref, got);
   if (strategy == ReductionStrategy::Sdc) {
     expect_bitwise(got, run.compute(g, types));
@@ -464,7 +458,7 @@ TEST(AlloyRepeatability, SdcIsBitwiseAcrossAHundredCallsAtFourThreads) {
   const auto types = alloy_types(g.positions.size());
   const ThreadScope scope(4);
   AlloyRun run(ReductionStrategy::Sdc, g);
-  const AlloyOut first = run.compute(g, types);
+  const PhaseOut first = run.compute(g, types);
   for (int call = 1; call < 100; ++call) {
     SCOPED_TRACE("call " + std::to_string(call));
     expect_bitwise(first, run.compute(g, types));

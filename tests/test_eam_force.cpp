@@ -2,7 +2,7 @@
 // third law, finite-difference gradients of the total energy, symmetry,
 // SDC at every dimensionality, the pair cache across rebuilds, the work
 // counters, the virtual-call fallback for potentials without inline
-// bodies, and every computer's refusal of a list built for another box.
+// bodies, and one neighbor-list contract table for every caller.
 // Strategy-by-strategy equivalence to the serial reference lives in
 // test_conformance.
 #include "core/eam_force.hpp"
@@ -11,7 +11,11 @@
 #include <omp.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <span>
 #include <string>
+#include <tuple>
 
 #include "analysis/stress.hpp"
 #include "common/error.hpp"
@@ -403,18 +407,6 @@ TEST(EamForce, SapReportsPrivateMemoryProportionalToThreads) {
   EXPECT_GE(computer.stats().private_array_bytes, per_thread);
 }
 
-TEST(EamForce, WrongListModeThrows) {
-  Workload w(6);
-  EamForceConfig cfg;
-  cfg.strategy = ReductionStrategy::RedundantComputation;
-  EamForceComputer computer(w.potential, cfg);
-  std::vector<double> rho(w.positions.size()), fp(w.positions.size());
-  std::vector<Vec3> force(w.positions.size());
-  EXPECT_THROW(
-      computer.compute(w.box, w.positions, *w.half, rho, fp, force),
-      PreconditionError);
-}
-
 TEST(EamForce, SdcWithoutScheduleThrows) {
   Workload w(6);
   EamForceConfig cfg;
@@ -437,13 +429,9 @@ TEST(EamForce, RetiredAndModeChangingStrategiesAreRefused) {
   retired.strategy = ReductionStrategy::CellTask;
   EXPECT_THROW(EamForceComputer(w.potential, retired), PreconditionError);
   const LennardJones lj(0.1, 2.2, w.potential.cutoff());
-  PairForceConfig pair_retired;
-  pair_retired.strategy = ReductionStrategy::CellTask;
-  EXPECT_THROW(PairForceComputer(lj, pair_retired), PreconditionError);
+  EXPECT_THROW(PairForceComputer(lj, retired), PreconditionError);
   const SingleSpeciesAlloy alloy(w.potential, units::kMassFe, "Fe");
-  AlloyForceConfig alloy_retired;
-  alloy_retired.strategy = ReductionStrategy::CellTask;
-  EXPECT_THROW(AlloyForceComputer(alloy, alloy_retired), PreconditionError);
+  EXPECT_THROW(AlloyForceComputer(alloy, retired), PreconditionError);
 
   EamForceConfig cfg;
   cfg.strategy = ReductionStrategy::Sdc;
@@ -496,80 +484,149 @@ TEST(EamForce, HotSwapFromSdcAndBackMatchesSerial) {
   expect_outputs_match(serial, compute(), 1e-12);
 }
 
-TEST(EamForce, EveryComputerRefusesAListBuiltForAnotherBox) {
-  // The rows take each pair's displacement from the image code the list
-  // stored, shifted by the edges of the box the list was built for. With
-  // any other box they would silently use the wrong shifts, so every
-  // computer checks the box before its region opens - also for a list
-  // moved to the new box through update_box() but not rebuilt.
-  Workload w(6);
+/// A caller of the shared neighbor-list contract (require_list): the list
+/// it walks, and one call on the given box, atoms and list.
+struct ListCaller {
+  std::string name;
+  double cutoff;
+  NeighborMode mode;
+  std::function<void(const Box&, std::span<const Vec3>, const NeighborList&)>
+      call;
+};
+
+/// A list with one defect, and the box and atoms of the call it meets.
+struct BrokenList {
+  std::string defect;
+  Box box;
+  std::span<const Vec3> positions;
+  std::shared_ptr<NeighborList> list;
+};
+
+std::shared_ptr<NeighborList> built_list(const Box& box, double cutoff,
+                                         NeighborMode mode,
+                                         std::span<const Vec3> positions) {
+  NeighborListConfig cfg;
+  cfg.cutoff = cutoff;
+  cfg.skin = kSkin;
+  cfg.mode = mode;
+  auto list = std::make_shared<NeighborList>(box, cfg);
+  list->build(positions);
+  return list;
+}
+
+/// Every way a list can fail the contract of a caller that walks a `mode`
+/// list covering `cutoff` over the workload's atoms.
+std::vector<BrokenList> broken_lists(const Workload& w, double cutoff,
+                                     NeighborMode mode) {
+  const std::span<const Vec3> all = w.positions;
+  const std::span<const Vec3> fewer = all.first(all.size() - 2);
   Box other = w.box;
   other.rescale({1.01, 1.01, 1.01});
-  NeighborList moved(w.box, w.half->config());
-  moved.build(w.positions);
-  moved.update_box(other);
-  const std::size_t n = w.positions.size();
-  std::vector<double> rho(n), fp(n);
-  std::vector<Vec3> force(n);
-  const double range = w.potential.cutoff() + kSkin;
+  const NeighborMode wrong =
+      mode == NeighborMode::Half ? NeighborMode::Full : NeighborMode::Half;
+  auto moved = built_list(w.box, cutoff, mode, all);
+  moved->update_box(other);
+  return {
+      {"built for another box", other, all,
+       built_list(w.box, cutoff, mode, all)},
+      {"moved by update_box and not rebuilt", other, all, moved},
+      {"more atoms than the call", w.box, fewer,
+       built_list(w.box, cutoff, mode, all)},
+      {"fewer atoms than the call", w.box, all,
+       built_list(w.box, cutoff, mode, fewer)},
+      {"shorter than the potential", w.box, all,
+       built_list(w.box, cutoff - 1.0, mode, all)},
+      {"the wrong mode", w.box, all, built_list(w.box, cutoff, wrong, all)},
+  };
+}
 
+TEST(ListContract, EveryCallerRefusesEveryBrokenList) {
+  // The rows trust the list: they index j by its rows, take each pair's
+  // displacement from the image code it stored for the box it was built
+  // for, and drop pairs it does not hold. So every caller refuses each
+  // broken list before its region opens, with one shared check.
+  Workload w(6);
+  const double range = w.potential.cutoff() + kSkin;
+  const auto eam_outputs = [](std::span<const Vec3> x) {
+    return std::tuple(std::vector<double>(x.size()),
+                      std::vector<double>(x.size()),
+                      std::vector<Vec3>(x.size()));
+  };
+
+  std::vector<ListCaller> callers;
+  std::vector<std::unique_ptr<EamForceComputer>> computers;
   for (const ReductionStrategy strategy : kAllStrategies) {
     EamForceConfig cfg;
     cfg.strategy = strategy;
-    EamForceComputer computer(w.potential, cfg);
-    computer.attach_schedule(w.box, range);
-    computer.on_neighbor_rebuild(w.positions);
-    const NeighborList& list =
-        required_mode(strategy) == NeighborMode::Full ? *w.full : *w.half;
-    EXPECT_NO_THROW(computer.compute(w.box, w.positions, list, rho, fp, force))
-        << to_string(strategy);
-    EXPECT_THROW(computer.compute(other, w.positions, list, rho, fp, force),
-                 PreconditionError)
-        << to_string(strategy);
-    if (list.mode() == NeighborMode::Half) {
-      EXPECT_THROW(computer.compute(other, w.positions, moved, rho, fp, force),
-                   PreconditionError)
-          << to_string(strategy);
-    }
+    auto& computer =
+        computers.emplace_back(std::make_unique<EamForceComputer>(w.potential,
+                                                                  cfg));
+    computer->attach_schedule(w.box, range);
+    computer->on_neighbor_rebuild(w.positions);
+    callers.push_back({"compute under " + to_string(strategy),
+                       w.potential.cutoff(), required_mode(strategy),
+                       [&eam_outputs, c = computer.get()](
+                           const Box& box, std::span<const Vec3> x,
+                           const NeighborList& list) {
+                         auto [rho, fp, force] = eam_outputs(x);
+                         c->compute(box, x, list, rho, fp, force);
+                       }});
   }
-
-  EamForceComputer serial(w.potential, EamForceConfig{});
-  EXPECT_THROW(serial.compute_serial_reference(other, w.positions, *w.half,
-                                               rho, fp, force),
-               PreconditionError);
-  EXPECT_THROW(serial.compute_serial_reference(other, w.positions, moved, rho,
-                                               fp, force),
-               PreconditionError);
+  const EamForceComputer reference(w.potential, EamForceConfig{});
+  callers.push_back({"compute_serial_reference", w.potential.cutoff(),
+                     NeighborMode::Half,
+                     [&](const Box& box, std::span<const Vec3> x,
+                         const NeighborList& list) {
+                       auto [rho, fp, force] = eam_outputs(x);
+                       reference.compute_serial_reference(box, x, list, rho,
+                                                          fp, force);
+                     }});
 
   const LennardJones lj(0.1, 2.3, w.potential.cutoff());
-  PairForceComputer pair(lj, PairForceConfig{ReductionStrategy::Serial, {}});
-  EXPECT_NO_THROW(pair.compute(w.box, w.positions, *w.half, force));
-  EXPECT_THROW(pair.compute(other, w.positions, *w.half, force),
-               PreconditionError);
+  PairForceComputer pair(lj, EamForceConfig{ReductionStrategy::Serial, {}});
+  callers.push_back({"pair", lj.cutoff(), NeighborMode::Half,
+                     [&](const Box& box, std::span<const Vec3> x,
+                         const NeighborList& list) {
+                       std::vector<Vec3> force(x.size());
+                       pair.compute(box, x, list, force);
+                     }});
 
   const JohnsonEam cu(JohnsonParams::copper());
   const JohnsonMixedAlloy alloy(
       {{&w.potential, units::kMassFe, "Fe"}, {&cu, 63.546, "Cu"}});
-  NeighborListConfig alloy_cfg = w.half->config();
-  alloy_cfg.cutoff = alloy.cutoff();
-  NeighborList alloy_list(w.box, alloy_cfg);
-  alloy_list.build(w.positions);
-  const std::vector<std::uint8_t> types(n, 0);
   AlloyForceComputer alloy_computer(
-      alloy, AlloyForceConfig{ReductionStrategy::Serial, {}});
-  EXPECT_NO_THROW(alloy_computer.compute(w.box, w.positions, types,
-                                         alloy_list, rho, fp, force));
-  EXPECT_THROW(alloy_computer.compute(other, w.positions, types, alloy_list,
-                                      rho, fp, force),
-               PreconditionError);
+      alloy, EamForceConfig{ReductionStrategy::Serial, {}});
+  callers.push_back({"alloy", alloy.cutoff(), NeighborMode::Half,
+                     [&](const Box& box, std::span<const Vec3> x,
+                         const NeighborList& list) {
+                       const std::vector<std::uint8_t> types(x.size(), 0);
+                       auto [rho, fp, force] = eam_outputs(x);
+                       alloy_computer.compute(box, x, types, list, rho, fp,
+                                              force);
+                     }});
 
   const PerAtomStress stress(w.potential);
-  std::vector<StressTensor> tensors;
-  EXPECT_NO_THROW(
-      stress.compute(w.box, w.positions, {}, 1.0, *w.half, fp, tensors));
-  EXPECT_THROW(
-      stress.compute(other, w.positions, {}, 1.0, *w.half, fp, tensors),
-      PreconditionError);
+  callers.push_back({"PerAtomStress", w.potential.cutoff(),
+                     NeighborMode::Half,
+                     [&](const Box& box, std::span<const Vec3> x,
+                         const NeighborList& list) {
+                       const std::vector<double> fp(x.size());
+                       std::vector<StressTensor> tensors;
+                       stress.compute(box, x, {}, 1.0, list, fp, tensors);
+                     }});
+
+  for (const ListCaller& caller : callers) {
+    SCOPED_TRACE(caller.name);
+    const auto good =
+        built_list(w.box, caller.cutoff, caller.mode, w.positions);
+    EXPECT_NO_THROW(caller.call(w.box, w.positions, *good));
+    for (const BrokenList& broken :
+         broken_lists(w, caller.cutoff, caller.mode)) {
+      EXPECT_THROW(caller.call(broken.box, broken.positions, *broken.list),
+                   PreconditionError)
+          << "a list " << broken.defect;
+    }
+  }
 }
 
 TEST(EamForce, MismatchedOutputSizesThrow) {

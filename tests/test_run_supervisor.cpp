@@ -145,6 +145,37 @@ TEST_F(RunSupervisorTest, RunStateParseErrorsCarryByteOffsets) {
   EXPECT_THROW(parse_run_state("{\"schema\": \"sdcmd.run_state.v1\", "
                                "\"step\": 1, \"dt\": -0.5}"),
                ParseError);
+  // Malformed numbers, trailing bytes and out-of-range values are refused
+  // with an offset or the member's name, never read as a prefix, ignored
+  // or narrowed by an undefined cast.
+  const std::string head = "{\"schema\": \"sdcmd.run_state.v1\", \"dt\": 0.5, ";
+  for (const std::string& bad :
+       {head + "\"step\": 1-2-3}", head + "\"step\": 1} trailing",
+        head + "\"step\": 1, \"governor_backoff\": 1e300}",
+        head + "\"step\": 1e300}"}) {
+    SCOPED_TRACE(bad);
+    try {
+      parse_run_state(bad);
+      ADD_FAILURE() << "expected ParseError";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_TRUE(what.find("byte") != std::string::npos ||
+                  what.find("member") != std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST_F(RunSupervisorTest, RunStateSkipsUnknownMembersOfEveryScalarType) {
+  // A newer writer may add members this reader does not know; each
+  // scalar type is skipped and the known members still load.
+  const RunState state = parse_run_state(
+      "{\"schema\": \"sdcmd.run_state.v1\", \"step\": 12, \"dt\": 0.5, "
+      "\"new_text\": \"x\", \"new_number\": 2.5e3, \"new_flag\": true, "
+      "\"new_nothing\": null, \"checkpoint_file\": \"ckpt.chk\"}");
+  EXPECT_EQ(state.step, 12);
+  EXPECT_EQ(state.dt, 0.5);
+  EXPECT_EQ(state.checkpoint_file, "ckpt.chk");
 }
 
 TEST_F(RunSupervisorTest, RunStateDemotedSapRungRoundTrips) {

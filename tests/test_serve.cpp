@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/log.hpp"
+#include "common/threads.hpp"
 #include "core/strategy.hpp"
 #include "core/strategy_governor.hpp"
 #include "obs/metrics.hpp"
@@ -68,7 +69,7 @@ TEST_F(ServeTest, WireMessageRoundTripsEveryScalarType) {
   m.set("count", static_cast<std::int64_t>(-42));
   m.set("ratio", 1.5);
   m.set("flag", true);
-  m.set("none", WireValue());
+  m.set("none", JsonValue());
   m.set("text", std::string("quote \" slash \\ newline \n tab \t"));
 
   const WireMessage back = WireMessage::parse(m.serialize());
@@ -190,6 +191,17 @@ TEST_F(ServeTest, SessionSpecParseRejectsBadValues) {
                    "{\"schema\": \"sdcmd.session.v1\", \"id\": \"x\", "
                    "\"checkpoint_every\": 0}"),
                ParseError);
+  // Integers outside int's range are refused, not wrapped: these read as
+  // cells 5, threads 1 and keep 1 when narrowed with a cast.
+  for (const char* wrapped : {"\"cells\": 4294967301", "\"threads\": 4294967297",
+                              "\"keep\": -4294967295"}) {
+    EXPECT_THROW(SessionSpec::parse(std::string("{\"schema\": "
+                                                "\"sdcmd.session.v1\", "
+                                                "\"id\": \"x\", ") +
+                                    wrapped + "}"),
+                 ParseError)
+        << wrapped;
+  }
   // validate() holds the checks parse() runs, so a spec built in code is
   // refused the same way.
   const auto refused = [](auto edit) {
@@ -204,6 +216,17 @@ TEST_F(ServeTest, SessionSpecParseRejectsBadValues) {
   refused([](SessionSpec& b) { b.strategy_code = 7; });  // retired CellTask
   refused([](SessionSpec& b) { b.strategy_code = 1; });  // governed critical
   EXPECT_NO_THROW(spec.validate());
+
+  // A create holds threads to the host; a session.json written on a
+  // larger host still parses, and run_quantum clamps its team.
+  SessionSpec wide = spec;
+  wide.threads = hardware_threads() + 1;
+  EXPECT_THROW(wide.validate(hardware_threads()), ParseError);
+  wide.threads = hardware_threads();
+  EXPECT_NO_THROW(wide.validate(hardware_threads()));
+  wide.threads = hardware_threads() + 1;
+  EXPECT_EQ(SessionSpec::parse(wide.to_json()).threads,
+            hardware_threads() + 1);
 }
 
 // ------------------------------------------------------------------ session
@@ -444,6 +467,11 @@ TEST_F(ServeTest, RefusedCreateLeavesNothingOnDisk) {
       {"threads0", "threads", 0},      {"ckpt0", "checkpoint_every", 0},
       {"keep0", "keep", 0},            {"code99", "strategy", 99},
       {"code7", "strategy", 7},        {"critical", "strategy", 1},
+      // Outside int's range: a narrowing cast would read cells 5,
+      // threads 1 and keep 1.
+      {"cells_wrap", "cells", 4294967301LL},
+      {"threads_wrap", "threads", 4294967297LL},
+      {"keep_wrap", "keep", -4294967295LL},
   };
   {
     SessionServer server(config);
